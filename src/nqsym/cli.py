@@ -21,7 +21,7 @@ from .matroids import (
     recover_rank2,
     split,
 )
-from .qsym import convert, in_Vnr, mul, n_basis_element, nbasis_product
+from .qsym import convert, in_Vnr, n_basis_element
 from . import verify as verify_mod
 from .compositions import drop_zero_parts
 
@@ -74,10 +74,7 @@ def cmd_mul(args):
     factors = [QSymElement.from_json(item) for item in data]
     product = factors[0]
     for factor in factors[1:]:
-        if product.basis == "N" and factor.basis == "N":
-            product = nbasis_product(product, factor)
-        else:
-            product = mul(product, factor)
+        product = product * factor
     result = convert(product, args.basis)
     _emit(result.to_json(), format_element(result), args.pretty)
     return 0

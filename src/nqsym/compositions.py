@@ -322,10 +322,6 @@ def is_alternating(ordered_partition):
 # JSON codecs (arrays of ints / arrays of arrays)
 
 
-def composition_to_json(comp):
-    return list(comp)
-
-
 def composition_from_json(data):
     if not isinstance(data, list):
         raise ValidationError("composition JSON must be an array of positive ints")

@@ -27,25 +27,36 @@ def _norm_coeff(value):
     raise ValidationError(f"coefficients must be exact rationals, got {type(value)}")
 
 
+def _normalized_terms(basis, terms, key):
+    """Check the basis tag and merge (key, coefficient) pairs into a dict of
+    nonzero normalized coefficients, with each key passed through `key`."""
+    if basis not in BASES:
+        raise ValidationError(f"unknown basis tag {basis!r}")
+    clean = {}
+    items = terms.items() if isinstance(terms, dict) else terms
+    for k, coeff in items:
+        k = key(k)
+        coeff = _norm_coeff(coeff)
+        if coeff:
+            clean[k] = clean.get(k, 0) + coeff
+            if not clean[k]:
+                del clean[k]
+    return clean
+
+
+def _tensor_key(pair):
+    left, right = pair
+    return as_composition(left), as_composition(right)
+
+
 class QSymElement:
     """A finite linear combination of basis elements of one fixed basis."""
 
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis, terms=()):
-        if basis not in BASES:
-            raise ValidationError(f"unknown basis tag {basis!r}")
+        object.__setattr__(self, "terms", _normalized_terms(basis, terms, as_composition))
         object.__setattr__(self, "basis", basis)
-        clean = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for comp, coeff in items:
-            comp = as_composition(comp)
-            coeff = _norm_coeff(coeff)
-            if coeff:
-                clean[comp] = clean.get(comp, 0) + coeff
-                if not clean[comp]:
-                    del clean[comp]
-        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSymElement is immutable")
@@ -84,14 +95,6 @@ class QSymElement:
         if len(degs) != 1:
             raise ValidationError(f"element is not homogeneous, degrees {degs}")
         return degs[0]
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
-    def homogeneous_component(self, n):
-        return QSymElement(
-            self.basis, {c: v for c, v in self.terms.items() if weight(c) == n}
-        )
 
     def is_integral(self):
         return all(isinstance(v, int) for v in self.terms.values())
@@ -218,19 +221,8 @@ class TensorElement:
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis, terms=()):
-        if basis not in BASES:
-            raise ValidationError(f"unknown basis tag {basis!r}")
+        object.__setattr__(self, "terms", _normalized_terms(basis, terms, _tensor_key))
         object.__setattr__(self, "basis", basis)
-        clean = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (left, right), coeff in items:
-            key = (as_composition(left), as_composition(right))
-            coeff = _norm_coeff(coeff)
-            if coeff:
-                clean[key] = clean.get(key, 0) + coeff
-                if not clean[key]:
-                    del clean[key]
-        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorElement is immutable")

@@ -7,6 +7,38 @@ def _clone(matrix):
     return [[Fraction(x) for x in row] for row in matrix]
 
 
+def _eliminate(mat, k):
+    """Gauss-Jordan elimination of the first k columns of mat, in place.
+
+    Each pivot row is scaled to a leading 1 and its column is cleared in
+    every other row.  Returns the pivot columns and the product of the
+    pivots, negated once per row swap; for a square matrix of full rank that
+    product is the determinant.
+    """
+    m = len(mat)
+    pivots = []
+    product = Fraction(1)
+    for col in range(k):
+        row = len(pivots)
+        if row == m:
+            break
+        pivot = next((r for r in range(row, m) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            mat[row], mat[pivot] = mat[pivot], mat[row]
+            product = -product
+        pv = mat[row][col]
+        product *= pv
+        mat[row] = [x / pv for x in mat[row]]
+        for r in range(m):
+            if r != row and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        pivots.append(col)
+    return pivots, product
+
+
 def solve_columns(columns, target):
     """Solve sum_j x_j * columns[j] == target exactly.
 
@@ -19,26 +51,9 @@ def solve_columns(columns, target):
         if len(col) != m:
             raise ValueError("column length mismatch")
     aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, m) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][k]:
-            return None
+    pivots, _ = _eliminate(aug, k)
+    if any(aug[r][k] for r in range(len(pivots), m)):
+        return None
     solution = [Fraction(0)] * k
     for r, col in enumerate(pivots):
         solution[col] = aug[r][k]
@@ -46,71 +61,15 @@ def solve_columns(columns, target):
 
 
 def matrix_rank(rows):
-    if not rows:
-        return 0
-    mat = _clone(rows)
-    m, n = len(mat), len(mat[0])
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(m):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    pivots, _ = _eliminate(_clone(rows), len(rows[0]) if rows else 0)
+    return len(pivots)
 
 
 def determinant(rows):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant of a square matrix."""
     mat = _clone(rows)
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        pv = mat[col][col]
-        det *= pv
-        inv = 1 / pv
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                factor = mat[r][col] * inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return det
-
-
-def invert(rows):
-    """Exact inverse, or None if singular."""
-    mat = _clone(rows)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("inverse needs a square matrix")
-    idty = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col]), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        idty[col], idty[pivot] = idty[pivot], idty[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        idty[col] = [x / pv for x in idty[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-                idty[r] = [a - factor * b for a, b in zip(idty[r], idty[col])]
-    return idty
+    pivots, product = _eliminate(mat, n)
+    return product if len(pivots) == n else Fraction(0)

@@ -80,11 +80,16 @@ def exchange_valid(n, base_masks):
 
 
 class Matroid:
-    """A matroid on [n] given by its set of bases."""
+    """A matroid on [n] given by its set of bases.
+
+    `Matroid(n, bases)` validates its input, the exchange axiom included.
+    `Matroid.from_masks(n, masks)` trusts its caller and builds every
+    matroid derived inside the package.
+    """
 
     __slots__ = ("n", "bases", "_masks", "_mask_set")
 
-    def __init__(self, n, bases, validate=True):
+    def __init__(self, n, bases):
         n = int(n)
         if n < 0:
             raise ValidationError("ground set size must be >= 0")
@@ -97,34 +102,40 @@ class Matroid:
         for b in base_sets:
             if any(not 1 <= x <= n for x in b):
                 raise ValidationError("basis elements must lie in [n]")
-        masks = tuple(sorted(_mask_of(b) for b in base_sets))
-        if validate and not exchange_valid(n, masks):
+        masks = [_mask_of(b) for b in base_sets]
+        if not exchange_valid(n, masks):
             raise ValidationError("base family violates the exchange axiom")
+        self._fill(n, masks)
+
+    @classmethod
+    def from_masks(cls, n, masks):
+        """The matroid whose bases are the given bitmasks, unchecked: the
+        caller guarantees a nonempty exchange-valid family on [n]."""
+        self = cls.__new__(cls)
+        self._fill(n, masks)
+        return self
+
+    def _fill(self, n, masks):
+        masks = tuple(sorted(set(masks)))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bases", base_sets)
+        object.__setattr__(self, "bases", frozenset(_set_of(m) for m in masks))
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_mask_set", frozenset(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
 
-    # -- constructors
-
     @classmethod
     def uniform(cls, r, n):
         if not 0 <= r <= n:
             raise ValidationError("uniform matroid needs 0 <= r <= n")
-        bases = [frozenset(c) for c in combinations(range(1, n + 1), r)]
-        return cls(n, bases, validate=False)
+        return cls.from_masks(n, [_mask_of(c) for c in combinations(range(1, n + 1), r)])
 
     # -- basic structure
 
     @property
     def rank(self):
         return len(next(iter(self.bases)))
-
-    def is_basis(self, subset):
-        return frozenset(subset) in self.bases
 
     def loops(self):
         union = 0
@@ -142,60 +153,43 @@ class Matroid:
         full = (1 << self.n) - 1
         return Matroid.from_masks(self.n, [full & ~m for m in self._masks])
 
-    @classmethod
-    def from_masks(cls, n, masks, validate=False):
-        self = cls.__new__(cls)
-        masks = tuple(sorted(set(masks)))
-        if validate and not exchange_valid(n, masks):
-            raise ValidationError("base family violates the exchange axiom")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bases", frozenset(_set_of(m) for m in masks))
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_mask_set", frozenset(masks))
-        return self
-
     def direct_sum(self, other):
-        shift = self.n
-        bases = [
-            b1 | frozenset(x + shift for x in b2)
-            for b1 in self.bases
-            for b2 in other.bases
-        ]
-        return Matroid(self.n + other.n, bases, validate=False)
+        return Matroid.from_masks(
+            self.n + other.n,
+            [m1 | m2 << self.n for m1 in self._masks for m2 in other._masks],
+        )
 
     def _subset_rank(self, mask):
         return max(bin(b & mask).count("1") for b in self._masks)
 
+    def _subset_mask(self, subset, operation):
+        elements = [int(x) for x in subset]
+        if any(not 1 <= x <= self.n for x in elements):
+            raise ValidationError(f"{operation} subset must lie in [n]")
+        return _mask_of(elements)
+
+    def _minor(self, subset, kept):
+        """The minor on the elements of the mask `kept`, relabeled
+        order-preservingly onto [|kept|].  Its bases are the traces on `kept`
+        of the bases that meet the mask `subset` in as many elements as the
+        rank of `subset`."""
+        r = self._subset_rank(subset)
+        bits = [1 << i for i in range(self.n) if kept >> i & 1]
+        masks = []
+        for b in self._masks:
+            if bin(b & subset).count("1") == r:
+                masks.append(sum(1 << j for j, bit in enumerate(bits) if b & bit))
+        return Matroid.from_masks(len(bits), masks)
+
     def restriction(self, subset):
         """Restriction to a subset, relabeled order-preservingly onto [|A|]."""
-        elements = sorted(int(x) for x in subset)
-        if any(not 1 <= x <= self.n for x in elements):
-            raise ValidationError("restriction subset must lie in [n]")
-        relabel = {x: i + 1 for i, x in enumerate(elements)}
-        amask = _mask_of(elements)
-        r = self._subset_rank(amask)
-        bases = {
-            frozenset(relabel[x] for x in (b & frozenset(elements)))
-            for b in self.bases
-            if bin(_mask_of(b) & amask).count("1") == r
-        }
-        return Matroid(len(elements), bases, validate=False)
+        amask = self._subset_mask(subset, "restriction")
+        return self._minor(amask, amask)
 
     def contraction(self, subset):
         """Contraction of a subset, remaining elements relabeled onto [n-|A|]."""
-        elements = sorted(int(x) for x in subset)
-        if any(not 1 <= x <= self.n for x in elements):
-            raise ValidationError("contraction subset must lie in [n]")
-        rest = [x for x in range(1, self.n + 1) if x not in set(elements)]
-        relabel = {x: i + 1 for i, x in enumerate(rest)}
-        amask = _mask_of(elements)
-        r = self._subset_rank(amask)
-        bases = {
-            frozenset(relabel[x] for x in b if x not in set(elements))
-            for b in self.bases
-            if bin(_mask_of(b) & amask).count("1") == r
-        }
-        return Matroid(len(rest), bases, validate=False)
+        amask = self._subset_mask(subset, "contraction")
+        return self._minor(amask, ((1 << self.n) - 1) & ~amask)
 
     def independent_masks(self):
         seen = set()
@@ -475,21 +469,21 @@ def rank2_qsym(lam):
 
 def rank2_matroid_from_blocks(blocks):
     """Rank-two matroid whose bases are the pairs across distinct blocks."""
-    blocks = [frozenset(b) for b in blocks]
+    blocks = [b for b in map(frozenset, blocks) if b]
     if len(blocks) < 2:
         raise ValidationError("need at least two parallelism classes")
     elements = sorted(x for b in blocks for x in b)
     n = len(elements)
     if elements != list(range(1, n + 1)):
         raise ValidationError("blocks must partition [n]")
-    bases = [
-        frozenset({x, y})
+    masks = [
+        (1 << (x - 1)) | (1 << (y - 1))
         for i, bi in enumerate(blocks)
         for bj in blocks[i + 1 :]
         for x in bi
         for y in bj
     ]
-    return Matroid(n, bases, validate=False)
+    return Matroid.from_masks(n, masks)
 
 
 def _interval_blocks(sizes):
@@ -831,6 +825,16 @@ def _split_representative(tau_rep, mu, nu, k, n):
     return mu_rep, nu_rep, cert
 
 
+def _class_equation_holds(lam, members):
+    """True iff the Ubar classes of the members sum to the class of lam."""
+    target = ubar_coordinates_of_partition(lam)
+    total = {k: Fraction(0) for k in target}
+    for m in members:
+        for k, v in ubar_coordinates_of_partition(m).items():
+            total[k] += v
+    return total == target
+
+
 def geom_decompose(lam, members):
     """Realize a class equation as an actual base polytope decomposition.
 
@@ -845,11 +849,7 @@ def geom_decompose(lam, members):
     members = [(_check_partition(m, min_parts=3)) for m in members]
     if any(weight(m) != n for m in members):
         raise ValidationError("all partitions must have the same weight")
-    total = {k: Fraction(0) for k in ubar_coordinates_of_partition(lam)}
-    for m in members:
-        for k, v in ubar_coordinates_of_partition(m).items():
-            total[k] += v
-    if total != ubar_coordinates_of_partition(lam):
+    if not _class_equation_holds(lam, members):
         raise ValidationError("class equation fails modulo products")
     items = [(i, m) for i, m in enumerate(members)]
     next_id = len(members)
@@ -950,16 +950,16 @@ def polytope_edge(matroid, basis1, basis2):
 # the semigroup of classes modulo products
 
 
-def hilbert_basis_check(n, extra_multiset_sizes=(2, 3)):
+def hilbert_basis_check(n):
     """Check that the length-three classes generate minimally.
 
     Verifies (a) length-three classes are pairwise distinct, (b) none is a
     sum of two or more classes, using the linear functional sending the
     k-th Ubar vector to n/2 - k, under which every class of a length-m
     partition takes the value (m-2) n/2, so any sum of at least two
-    generators is too large; small multisets are also searched explicitly,
-    and (c) every longer class decomposes into length-three classes by
-    repeated splitting.
+    generators is too large; multisets of two and three generators are also
+    searched explicitly, and (c) every longer class decomposes into
+    length-three classes by repeated splitting.
     """
     if n < 3:
         raise ValidationError("the semigroup check needs n >= 3")
@@ -980,7 +980,7 @@ def hilbert_basis_check(n, extra_multiset_sizes=(2, 3)):
     bound = int(target_phi / min_phi) if min_phi > 0 else None
     indecomposable = bound == 1
     found_sum = None
-    for size in extra_multiset_sizes:
+    for size in (2, 3):
         for combo in combinations_with_replacement(gens, size):
             total = {}
             for lam in combo:
@@ -995,11 +995,7 @@ def hilbert_basis_check(n, extra_multiset_sizes=(2, 3)):
     all_decompose = True
     for lam in longer:
         parts3 = full_split_to_length3(lam)
-        total = {k: Fraction(0) for k in ubar_coordinates_of_partition(lam)}
-        for m in parts3:
-            for k, v in ubar_coordinates_of_partition(m).items():
-                total[k] += v
-        ok = total == ubar_coordinates_of_partition(lam)
+        ok = _class_equation_holds(lam, parts3)
         all_decompose = all_decompose and ok
         decompositions[lam] = {"summands": [list(m) for m in parts3], "valid": ok}
     return {
@@ -1060,7 +1056,7 @@ def sample_loopless_matroid(rng, n, max_deletions=None):
     if n < 1:
         raise ValidationError("sampling needs n >= 1")
     r = rng.randint(1, max(1, n - 1)) if n > 1 else 1
-    masks = sorted(_mask_of(b) for b in Matroid.uniform(r, n).bases)
+    masks = Matroid.uniform(r, n)._masks
     full = (1 << n) - 1
     goal = rng.randint(0, len(masks) - 1)
     if max_deletions is not None:

@@ -24,9 +24,11 @@ class LabeledPoset:
 
     Stores the cover relations plus, per element, the full set of strictly
     smaller elements, so order queries during enumeration are O(1).
+    below_masks[i] is that set for labels[i] as a bitmask over label
+    positions (bit j for labels[j]).
     """
 
-    __slots__ = ("labels", "covers", "below")
+    __slots__ = ("labels", "covers", "below", "below_masks")
 
     def __init__(self, labels, relations=()):
         labels = tuple(sorted({int(x) for x in labels}))
@@ -60,6 +62,9 @@ class LabeledPoset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "below", {x: frozenset(below[x]) for x in labels})
         object.__setattr__(self, "covers", frozenset(covers))
+        index = {x: i for i, x in enumerate(labels)}
+        below_masks = tuple(sum(1 << index[lo] for lo in below[x]) for x in labels)
+        object.__setattr__(self, "below_masks", below_masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledPoset is immutable")
@@ -163,13 +168,7 @@ def linear_extensions(poset, limit=DEFAULT_ENUMERATION_LIMIT):
             f"poset on {poset.n} elements exceeds enumeration limit {limit}"
         )
     labels = poset.labels
-    index = {x: i for i, x in enumerate(labels)}
-    below_masks = [0] * poset.n
-    for hi, lows in poset.below.items():
-        mask = 0
-        for lo in lows:
-            mask |= 1 << index[lo]
-        below_masks[index[hi]] = mask
+    below_masks = poset.below_masks
     n = poset.n
     full = (1 << n) - 1
 
@@ -241,12 +240,14 @@ def alternating_antichain_labels(comp, offset_even=0, offset_odd=None):
     return blocks
 
 
+def _ordinal_relations(blocks):
+    """Every element of each block below every element of the next."""
+    return [(x, y) for lower, upper in zip(blocks, blocks[1:]) for x in lower for y in upper]
+
+
 def _ordinal_sum_of_blocks(blocks):
     labels = [x for block in blocks for x in block]
-    relations = []
-    for lower, upper in zip(blocks, blocks[1:]):
-        relations += [(x, y) for x in lower for y in upper]
-    return LabeledPoset(labels, relations)
+    return LabeledPoset(labels, _ordinal_relations(blocks))
 
 
 def build_P_K(ordered_partition):
@@ -274,12 +275,7 @@ def induced_ordered_partitions(poset, parts):
         raise ValidationError("parts must partition the poset labels")
     index = {x: i for i, x in enumerate(poset.labels)}
     n = poset.n
-    below_masks = [0] * n
-    for hi, lows in poset.below.items():
-        m = 0
-        for lo in lows:
-            m |= 1 << index[lo]
-        below_masks[index[hi]] = m
+    below_masks = poset.below_masks
     part_masks = []
     for p in parts:
         m = 0
@@ -394,11 +390,9 @@ def nbasis_product_poset(left, right):
         offset_odd=even_left + (weight(right) - rank(right)) + rank(left),
     )
     labels = [x for b in left_blocks for x in b] + [x for b in right_blocks for x in b]
-    relations = []
-    for blocks in (left_blocks, right_blocks):
-        for lower, upper in zip(blocks, blocks[1:]):
-            relations += [(x, y) for x in lower for y in upper]
-    poset = LabeledPoset(labels, relations)
+    poset = LabeledPoset(
+        labels, _ordinal_relations(left_blocks) + _ordinal_relations(right_blocks)
+    )
     high = frozenset(
         x
         for blocks in (left_blocks, right_blocks)

@@ -323,13 +323,6 @@ def nbasis_product(q1, q2):
     return QSymElement("N", out)
 
 
-def nbasis_power(comp, exponent):
-    out = QSymElement.one("N")
-    for _ in range(exponent):
-        out = nbasis_product(out, QSymElement.single("N", comp))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coproduct
 
@@ -387,10 +380,6 @@ def quotient_J_project(element):
     return QSymElement(
         "N", {c: v for c, v in q.terms.items() if len(c) % 2 == 0}
     )
-
-
-def is_integral(element):
-    return element.is_integral()
 
 
 def divide_by_pure_power(element, s):

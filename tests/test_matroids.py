@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -47,12 +48,74 @@ def test_circuits_of_uniform():
     assert len(u.circuits()) == comb(4, 3)
 
 
+def _relabeled(sets, ground):
+    """Sets over `ground`, relabeled order-preservingly onto [|ground|]."""
+    label = {x: i + 1 for i, x in enumerate(sorted(ground))}
+    return [frozenset(label[x] for x in s) for s in sets]
+
+
+def _minors_by_definition(m, subset):
+    """Restriction and contraction built from independent sets, through the
+    validating constructor.  M|A has the maximal independent subsets of A as
+    bases; M/A has the sets B - J over the bases B containing one fixed
+    basis J of M|A."""
+    rest = frozenset(range(1, m.n + 1)) - subset
+    independent = {
+        frozenset(s)
+        for b in m.bases
+        for k in range(len(b) + 1)
+        for s in itertools.combinations(sorted(b), k)
+    }
+    inside = [s for s in independent if s <= subset]
+    r = max(len(s) for s in inside)
+    restricted = [s for s in inside if len(s) == r]
+    j = min(restricted, key=sorted)
+    contracted = [b - j for b in m.bases if j <= b]
+    return (
+        Matroid(len(subset), _relabeled(restricted, subset)),
+        Matroid(len(rest), _relabeled(contracted, rest)),
+    )
+
+
 def test_rank_additivity_restriction_contraction():
     rng = random.Random(3)
     for _ in range(40):
         m = mat.sample_loopless_matroid(rng, rng.randint(1, 7))
         subset = frozenset(x for x in range(1, m.n + 1) if rng.random() < 0.5)
         assert m.restriction(subset).rank + m.contraction(subset).rank == m.rank
+    examples = [uniform(r, n) for n in range(6) for r in range(n + 1)]
+    examples += [
+        mat.rank2_from_partition(lam)
+        for n in range(2, 7)
+        for lam in comp.partitions(n, min_parts=2)
+    ]
+    examples.append(uniform(2, 4).direct_sum(uniform(0, 1)).direct_sum(uniform(1, 1)))
+    for m in examples:
+        for k in range(m.n + 1):
+            for subset in itertools.combinations(range(1, m.n + 1), k):
+                subset = frozenset(subset)
+                restricted, contracted = _minors_by_definition(m, subset)
+                assert m.restriction(subset) == restricted
+                assert m.contraction(subset) == contracted
+                assert restricted.rank + contracted.rank == m.rank
+
+
+def test_internal_constructions_are_exchange_valid():
+    """Families built through the trusted constructor pass the validating one."""
+    built = [uniform(r, n) for n in range(6) for r in range(n + 1)]
+    built += [m.dual() for m in built]
+    built += [
+        uniform(1, 2).direct_sum(uniform(0, 1)),
+        uniform(2, 3).direct_sum(uniform(1, 2)).direct_sum(uniform(1, 1)),
+        mat.rank2_matroid_from_blocks([{2, 5}, {1}, {3, 4}]),
+        mat.rank2_matroid_from_blocks([{1}, {2}, {3}, {4}]),
+    ]
+    for m in built:
+        assert mat.exchange_valid(m.n, m._masks)
+        assert Matroid(m.n, m.bases) == m
+    # one nonempty block has no cross pairs, so no bases
+    with pytest.raises(ValidationError):
+        mat.rank2_matroid_from_blocks([{1, 2}, set()])
 
 
 def test_base_poset_uniform_is_complete_bipartite():
