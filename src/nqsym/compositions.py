@@ -322,10 +322,17 @@ def is_alternating(ordered_partition):
 # JSON codecs (arrays of ints / arrays of arrays)
 
 
+def json_int(value, what):
+    """A JSON integer as an int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def composition_from_json(data):
     if not isinstance(data, list):
         raise ValidationError("composition JSON must be an array of positive ints")
-    return as_composition(data)
+    return as_composition(json_int(p, "composition parts") for p in data)
 
 
 def ordered_partition_to_json(ordered_partition):

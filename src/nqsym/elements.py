@@ -10,7 +10,9 @@ from fractions import Fraction
 
 from .compositions import (
     as_composition,
+    composition_from_json,
     format_composition,
+    json_int,
     term_order_key,
     weight,
 )
@@ -180,13 +182,18 @@ class QSymElement:
     def from_json(cls, data):
         if not isinstance(data, dict) or "basis" not in data or "terms" not in data:
             raise ValidationError("element JSON needs 'basis' and 'terms'")
+        if not isinstance(data["terms"], list):
+            raise ValidationError("element JSON 'terms' must be an array")
         terms = []
         for item in data["terms"]:
-            comp = as_composition(item["comp"])
-            den = int(item.get("den", 1))
+            if not isinstance(item, dict) or "comp" not in item or "num" not in item:
+                raise ValidationError("each element term needs 'comp' and 'num'")
+            comp = composition_from_json(item["comp"])
+            num = json_int(item["num"], "numerators")
+            den = json_int(item.get("den", 1), "denominators")
             if den <= 0:
                 raise ValidationError("denominators must be positive")
-            terms.append((comp, Fraction(int(item["num"]), den)))
+            terms.append((comp, Fraction(num, den)))
         return cls(data["basis"], terms)
 
 

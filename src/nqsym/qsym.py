@@ -3,13 +3,16 @@
 The N basis element of a composition is the poset generating function of the
 alternately labeled ordinal sum of antichains with those block sizes.  All
 coefficients are exact rationals.  Conversions route through the fundamental
-basis; the N to L direction is a counting expansion and the reverse is a
-unitriangular back substitution.
+basis.  The N to L direction is a closed form: because the labeling
+alternates by block, every block boundary is always a descent or always an
+ascent, so each L coefficient is a sum of products of per-block counts of
+permutations by run composition (descent-set counts), and no word is
+listed.  The reverse is a unitriangular back substitution.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 from . import linalg
 from .compositions import (
@@ -19,7 +22,6 @@ from .compositions import (
     compositions,
     partition_type,
     rank,
-    runs,
     runs_to_rho,
     subset_to_composition,
     term_order_key,
@@ -28,11 +30,7 @@ from .compositions import (
 )
 from .elements import QSymElement, TensorElement
 from .errors import NotDivisibleError, ValidationError
-from .posets import (
-    alternating_antichain_labels,
-    induced_ordered_partitions,
-    nbasis_product_poset,
-)
+from .posets import induced_ordered_partitions, nbasis_product_poset
 
 MONOMIAL, FUNDAMENTAL, NBASIS = "M", "L", "N"
 
@@ -81,18 +79,59 @@ def _monomial_in_fundamental(comp):
 
 
 @lru_cache(maxsize=None)
+def _descent_classes(a):
+    """Run compositions of the permutations of [a], with their counts.
+
+    Built letter by letter: a word's state is its run composition and the
+    relative rank j of its last letter.  Appending a letter of relative rank
+    i among a + 1 letters continues the last run when i > j (an ascent) and
+    opens a new run of length 1 otherwise (a descent).
+    """
+    states = {((1,), 0): 1}
+    for k in range(1, a):
+        nxt = {}
+        for (comp, j), count in states.items():
+            up = comp[:-1] + (comp[-1] + 1,)
+            down = comp + (1,)
+            for i in range(k + 1):
+                key = (up, i) if i > j else (down, i)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    counts = {}
+    for (comp, _), count in states.items():
+        counts[comp] = counts.get(comp, 0) + count
+    return tuple(counts.items())
+
+
+@lru_cache(maxsize=None)
 def nbasis_in_fundamental(comp):
     """L-expansion of the N element: counts of run compositions over all
-    interleavings of the alternately labeled antichain blocks."""
+    interleavings of the alternately labeled antichain blocks.
+
+    Even-indexed (0-based) blocks carry the high labels and odd-indexed
+    blocks the low ones, so the boundary after block j is a descent for even
+    j and an ascent for odd j.  A word's run composition is then fixed by
+    those of its block segments: concatenated across a descent, with the
+    touching parts merged across an ascent.  Folding the per-block descent
+    classes left to right gives the expansion as a sum of products of
+    descent-class counts, without listing the words.
+    """
     comp = as_composition(comp)
     if not comp:
         return (((), 1),)
-    blocks = alternating_antichain_labels(comp)
-    counts = {}
-    for choice in product(*(permutations(b) for b in blocks)):
-        word = tuple(x for seg in choice for x in seg)
-        c = runs(word)
-        counts[c] = counts.get(c, 0) + 1
+    counts = dict(_descent_classes(comp[0]))
+    for j, a in enumerate(comp[1:]):
+        ascent = j % 2 == 1
+        classes = _descent_classes(a)
+        nxt = {}
+        for left, lc in counts.items():
+            for right, rc in classes:
+                if ascent:
+                    key = left[:-1] + (left[-1] + right[0],) + right[1:]
+                else:
+                    key = left + right
+                nxt[key] = nxt.get(key, 0) + lc * rc
+        counts = nxt
     return tuple(sorted(counts.items(), key=lambda kv: term_order_key(kv[0])))
 
 

@@ -157,3 +157,39 @@ def test_verify_pretty_lines(capsys):
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(line.startswith("PASS") for line in lines)
+
+
+def assert_validation_error(code, out):
+    assert code == 1
+    payload = json.loads(out)
+    assert list(payload) == ["error"]
+    assert payload["error"]["kind"] == "ValidationError"
+    assert isinstance(payload["error"]["message"], str)
+
+
+def one_term(term):
+    return json.dumps({"basis": "M", "terms": [term]})
+
+
+def test_convert_rejects_term_without_comp(capsys):
+    assert_validation_error(*run_cli(["convert", "--to", "N"], one_term({"num": 1, "den": 1}), capsys))
+
+
+def test_convert_rejects_terms_not_a_list(capsys):
+    payload = json.dumps({"basis": "M", "terms": "abc"})
+    assert_validation_error(*run_cli(["convert", "--to", "L"], payload, capsys))
+
+
+def test_convert_rejects_float_numerator(capsys):
+    term = {"comp": [2, 1], "num": 1.5, "den": 1}
+    assert_validation_error(*run_cli(["convert", "--to", "N"], one_term(term), capsys))
+
+
+def test_convert_rejects_float_composition_part(capsys):
+    term = {"comp": [2.7], "num": 1, "den": 1}
+    assert_validation_error(*run_cli(["convert", "--to", "N"], one_term(term), capsys))
+
+
+def test_mul_rejects_bool_numerator(capsys):
+    factor = {"basis": "M", "terms": [{"comp": [1], "num": True, "den": 1}]}
+    assert_validation_error(*run_cli(["mul"], json.dumps([factor, factor]), capsys))

@@ -76,6 +76,61 @@ def test_nbasis_element_matches_poset_route():
             assert qsym.n_basis_element(alpha) == qsym_of_poset(build_P_alpha(alpha))
 
 
+def enumerated_nbasis_in_fundamental(alpha):
+    """Oracle: the run-composition census of every interleaving word of the
+    alternately labeled antichain blocks, all prod a_i! of them."""
+    from itertools import permutations, product
+
+    from nqsym.posets import alternating_antichain_labels
+
+    counts = {}
+    for choice in product(*(permutations(b) for b in alternating_antichain_labels(alpha))):
+        word = tuple(x for seg in choice for x in seg)
+        c = comp.runs(word)
+        counts[c] = counts.get(c, 0) + 1
+    return tuple(sorted(counts.items(), key=lambda kv: comp.term_order_key(kv[0])))
+
+
+def test_nbasis_in_fundamental_matches_word_enumeration():
+    for n in range(1, 10):
+        for alpha in comp.compositions(n):
+            assert qsym.nbasis_in_fundamental(alpha) == enumerated_nbasis_in_fundamental(alpha)
+
+
+def test_descent_classes_match_brute_force():
+    from itertools import permutations
+
+    for a in range(1, 8):
+        expected = {}
+        for w in permutations(range(a)):
+            c = comp.runs(w)
+            expected[c] = expected.get(c, 0) + 1
+        assert dict(qsym._descent_classes(a)) == expected
+
+
+def test_descent_classes_match_multinomial_route():
+    # N_(a) is the antichain's generating function (x1 + x2 + ...)^a, whose
+    # monomial coefficients are multinomials
+    from math import factorial, prod
+
+    for a in range(1, 11):
+        power = QSymElement(
+            "M",
+            {d: factorial(a) // prod(factorial(p) for p in d) for d in comp.compositions(a)},
+        )
+        assert qsym.convert(power, "L").terms == dict(qsym._descent_classes(a))
+
+
+def test_descent_classes_count_every_permutation():
+    from math import factorial
+
+    for a in range(1, 13):
+        classes = qsym._descent_classes(a)
+        assert sum(count for _, count in classes) == factorial(a)
+        assert all(comp.weight(c) == a and count > 0 for c, count in classes)
+        assert len(classes) == 2 ** (a - 1)
+
+
 def test_convert_examples():
     assert qsym.convert(qsym.fundamental_element((1,)), "M").terms == {(1,): 1}
     assert qsym.convert(QSymElement.single("N", (2,)), "M").terms == {(2,): 1, (1, 1): 2}
@@ -291,6 +346,21 @@ def test_json_and_formatting():
         QSymElement.from_json({"basis": "N", "terms": [{"comp": [1], "num": 1, "den": 0}]})
 
 
+def test_element_json_decoding_is_strict():
+    good = {"comp": [2, 1], "num": 3, "den": 2}
+    assert QSymElement.from_json({"basis": "M", "terms": [good]}).terms == {(2, 1): Fraction(3, 2)}
+    assert QSymElement.from_json({"basis": "M", "terms": [{"comp": [1], "num": 2}]}).terms == {(1,): 2}
+    bad_terms = ["abc", {"comp": [1], "num": 1}, [[1]], [{"num": 1}], [{"comp": [1], "den": 1}]]
+    for wrong in (2.7, 2.0, True, "2"):
+        bad_terms.append([{**good, "comp": [wrong]}])
+        bad_terms.append([{**good, "num": wrong}])
+        bad_terms.append([{**good, "den": wrong}])
+    bad_terms.append([{**good, "comp": "21"}])
+    for terms in bad_terms:
+        with pytest.raises(ValidationError):
+            QSymElement.from_json({"basis": "M", "terms": terms})
+
+
 def test_term_json_ordering_by_degree_then_word():
     q = QSymElement("M", {(1, 1): 1, (2,): 1, (1,): 1, (3,): 1})
     comps = [tuple(t["comp"]) for t in q.to_json()["terms"]]
@@ -302,9 +372,10 @@ def test_shared_caches_are_thread_safe():
     # conversions must agree with the serial result
     import threading
 
-    qsym.nl_ascent_run_rows.cache_clear()
     q = QSymElement("L", {c: 1 for c in comp.compositions(6)})
     expected = qsym.convert(q, "N")
+    for table in (qsym.nl_ascent_run_rows, qsym.nbasis_in_fundamental, qsym._descent_classes):
+        table.cache_clear()
     results = [None] * 8
     def work(i):
         results[i] = qsym.convert(q, "N")
