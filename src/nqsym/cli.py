@@ -10,7 +10,12 @@ import argparse
 import json
 import sys
 
-from .compositions import format_composition, parse_composition_text
+from .compositions import (
+    composition_from_json,
+    drop_zero_parts,
+    format_composition,
+    parse_composition_text,
+)
 from .elements import QSymElement, format_element
 from .errors import NQSymError, ResourceLimitError, ValidationError
 from .matroids import (
@@ -23,7 +28,6 @@ from .matroids import (
 )
 from .qsym import convert, in_Vnr, n_basis_element
 from . import verify as verify_mod
-from .compositions import drop_zero_parts
 
 
 def _emit(payload, pretty_text=None, pretty=False):
@@ -132,8 +136,10 @@ def cmd_geom_decompose(args):
     data = _read_json_stdin()
     if not isinstance(data, dict) or "lambda" not in data or "J" not in data:
         raise ValidationError("geom-decompose expects {'lambda': [...], 'J': [[...], ...]}")
-    lam = tuple(int(x) for x in data["lambda"])
-    members = [tuple(int(x) for x in m) for m in data["J"]]
+    lam = composition_from_json(data["lambda"])
+    if not isinstance(data["J"], list):
+        raise ValidationError("geom-decompose 'J' must be an array of compositions")
+    members = [composition_from_json(m) for m in data["J"]]
     decomposition = geom_decompose(lam, members)
     payload = decomposition.to_json()
     lines = [f"root lambda={format_composition(lam)} verified={decomposition.verified}"]

@@ -16,6 +16,7 @@ from . import linalg
 from .compositions import (
     as_composition,
     drop_zero_parts,
+    json_int,
     partitions,
     reversal,
     weight,
@@ -52,30 +53,43 @@ def _set_of(mask):
 
 
 def exchange_valid(n, base_masks):
-    """Basis exchange axiom on a family of equal-size subsets of [n]."""
-    masks = list(base_masks)
-    mask_set = set(masks)
+    """Basis exchange axiom on a family of equal-size subsets of [n].
+
+    Checked as a hitting-set condition.  For a basis b1 and e in b1 let
+    X(b1, e) = {e} | {f not in b1 : b1 - e + f is a basis}.  The targets
+    other than e lie outside b1, so for a basis b2 they meet b2 - b1 exactly
+    when they meet b2; and b2 misses e exactly when e is in b1 - b2.  Hence
+    the axiom fails for some (b1, b2, e) iff some basis misses some X(b1, e),
+    and it holds iff every basis meets every X(b1, e).  The bases meeting X
+    are the union over its elements of the bases holding each one, kept as
+    a bitset over the family.
+    """
+    masks = set(base_masks)
+    holders = {}
+    for j, b in enumerate(masks):
+        rest = b
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            holders[bit] = holders.get(bit, 0) | 1 << j
+    union = sum(holders)  # the keys are distinct single bits
+    everyone = (1 << len(masks)) - 1
     for b1 in masks:
-        for b2 in masks:
-            if b1 == b2:
-                continue
-            diff = b1 & ~b2
-            into = b2 & ~b1
-            e = diff
-            while e:
-                ebit = e & -e
-                e ^= ebit
-                removed = b1 ^ ebit
-                f = into
-                ok = False
-                while f:
-                    fbit = f & -f
-                    f ^= fbit
-                    if (removed | fbit) in mask_set:
-                        ok = True
-                        break
-                if not ok:
-                    return False
+        outside = union & ~b1
+        e = b1
+        while e:
+            ebit = e & -e
+            e ^= ebit
+            removed = b1 ^ ebit
+            met = holders[ebit]
+            f = outside
+            while f:
+                fbit = f & -f
+                f ^= fbit
+                if (removed | fbit) in masks:
+                    met |= holders[fbit]
+            if met != everyone:
+                return False
     return True
 
 
@@ -90,10 +104,12 @@ class Matroid:
     __slots__ = ("n", "bases", "_masks", "_mask_set")
 
     def __init__(self, n, bases):
-        n = int(n)
+        n = json_int(n, "ground set size")
         if n < 0:
             raise ValidationError("ground set size must be >= 0")
-        base_sets = frozenset(frozenset(int(x) for x in b) for b in bases)
+        base_sets = frozenset(
+            frozenset(json_int(x, "basis element") for x in b) for b in bases
+        )
         if not base_sets:
             raise ValidationError("a matroid needs at least one basis")
         sizes = {len(b) for b in base_sets}
@@ -160,7 +176,7 @@ class Matroid:
         )
 
     def _subset_rank(self, mask):
-        return max(bin(b & mask).count("1") for b in self._masks)
+        return max((b & mask).bit_count() for b in self._masks)
 
     def _subset_mask(self, subset, operation):
         elements = [int(x) for x in subset]
@@ -177,7 +193,7 @@ class Matroid:
         bits = [1 << i for i in range(self.n) if kept >> i & 1]
         masks = []
         for b in self._masks:
-            if bin(b & subset).count("1") == r:
+            if (b & subset).bit_count() == r:
                 masks.append(sum(1 << j for j, bit in enumerate(bits) if b & bit))
         return Matroid.from_masks(len(bits), masks)
 
@@ -272,7 +288,10 @@ class Matroid:
     def from_json(cls, data):
         if not isinstance(data, dict) or "n" not in data or "bases" not in data:
             raise ValidationError("matroid JSON needs 'n' and 'bases'")
-        return cls(int(data["n"]), [frozenset(b) for b in data["bases"]])
+        bases = data["bases"]
+        if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
+            raise ValidationError("matroid 'bases' must be an array of arrays")
+        return cls(data["n"], bases)
 
 
 def uniform(r, n):
@@ -312,49 +331,42 @@ def base_poset(matroid, basis):
     return LabeledPoset(range(1, n + 1), relations)
 
 
-def _basis_type_counts(base_mask, cobase_partners):
-    """Type multiset of the alternating block interleavings of one basis.
+def _basis_type_counts(rank, partners):
+    """Type multiset of the alternating block interleavings of one basis shape.
 
-    cobase_partners maps each cobase bit to the mask of base elements it can
-    exchange into.  A cobase block may be placed only once all its partners
-    are placed; blocks strictly alternate sides starting with the base side.
-    Returns a dict from type composition to count.
+    The base elements are bits 0..rank-1 (rank >= 1), and partners lists,
+    for each cobase element, the mask of base bits it can exchange into.  A
+    cobase element may be placed only once all its partners are placed;
+    blocks strictly alternate sides starting with the base side.  Each call
+    places one base block and then one cobase block.  Placing every
+    remaining base element frees every remaining cobase element, which then
+    has to form the last block, so that choice is counted at once.  Returns
+    a dict from type composition to count.
     """
     counts = {}
-    cob_bits = sorted(cobase_partners)
-    full_cob = 0
-    for bit in cob_bits:
-        full_cob |= bit
+    pairs = [(1 << i, pmask) for i, pmask in enumerate(partners)]
 
-    def rec(rem_base, rem_cob, base_side, sizes):
-        if not rem_base and not rem_cob:
-            typ = tuple(sizes)
-            counts[typ] = counts.get(typ, 0) + 1
+    def rec(rem_base, rem_cob, sizes):
+        k = rem_base.bit_count()
+        last = sizes + (k, rem_cob.bit_count()) if rem_cob else sizes + (k,)
+        counts[last] = counts.get(last, 0) + 1
+        if not rem_cob:
             return
-        if base_side:
-            if not rem_base:
-                return
-            sub = rem_base
-            while sub:
-                sizes.append(bin(sub).count("1"))
-                rec(rem_base & ~sub, rem_cob, False, sizes)
-                sizes.pop()
-                sub = (sub - 1) & rem_base
-        else:
-            if not rem_cob:
-                return
+        sub = (rem_base - 1) & rem_base
+        while sub:
+            left = rem_base ^ sub
             avail = 0
-            for bit in cob_bits:
-                if rem_cob & bit and not (cobase_partners[bit] & rem_base):
+            for bit, pmask in pairs:
+                if rem_cob & bit and not pmask & left:
                     avail |= bit
-            sub = avail
-            while sub:
-                sizes.append(bin(sub).count("1"))
-                rec(rem_base, rem_cob & ~sub, True, sizes)
-                sizes.pop()
-                sub = (sub - 1) & avail
+            head = sizes + (sub.bit_count(),)
+            cob = avail
+            while cob:
+                rec(left, rem_cob ^ cob, head + (cob.bit_count(),))
+                cob = (cob - 1) & avail
+            sub = (sub - 1) & rem_base
 
-    rec(base_mask, full_cob, True, [])
+    rec((1 << rank) - 1, (1 << len(partners)) - 1, ())
     return counts
 
 
@@ -362,9 +374,14 @@ def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT, method="fast"):
     """The invariant of a matroid in the N basis.
 
     The fast path interleaves base and cobase blocks of each exchange poset
-    directly; the extensions path sums the poset generating function over
-    full linear extension enumeration and converts, and is kept as an
-    independent oracle.
+    directly.  A basis's type counts depend only on its rank and on the
+    multiset of its cobase elements' partner masks, written over the base
+    positions 0..r-1 in ground order; so the bases are grouped by that
+    shape, and each shape is interleaved once and weighted by the number of
+    its bases.  Loops are stripped first and multiplied back in as N[(l,)].
+    The extensions path sums the poset generating function over full linear
+    extension enumeration and converts, and is kept as an independent
+    oracle.
     """
     if matroid.n > limit:
         raise ResourceLimitError(
@@ -386,24 +403,31 @@ def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT, method="fast"):
         inner = qsym_of_matroid(stripped, limit, "fast")
         return nbasis_product(inner, QSymElement.single("N", (len(loops),)))
     full = (1 << matroid.n) - 1
-    acc = {}
+    mask_set = matroid._mask_set
+    shapes = {}
     for bmask in matroid._masks:
-        cob = full & ~bmask
-        partners = {}
-        c = cob
+        base_bits = []
+        b = bmask
+        while b:
+            bbit = b & -b
+            b ^= bbit
+            base_bits.append(bbit)
+        partners = []
+        c = full & ~bmask
         while c:
             cbit = c & -c
             c ^= cbit
             pmask = 0
-            b = bmask
-            while b:
-                bbit = b & -b
-                b ^= bbit
-                if ((bmask ^ bbit) | cbit) in matroid._mask_set:
-                    pmask |= bbit
-            partners[cbit] = pmask
-        for typ, count in _basis_type_counts(bmask, partners).items():
-            acc[typ] = acc.get(typ, 0) + count
+            for i, bbit in enumerate(base_bits):
+                if ((bmask ^ bbit) | cbit) in mask_set:
+                    pmask |= 1 << i
+            partners.append(pmask)
+        key = (len(base_bits), tuple(sorted(partners)))
+        shapes[key] = shapes.get(key, 0) + 1
+    acc = {}
+    for (rank, partners), multiplicity in shapes.items():
+        for typ, count in _basis_type_counts(rank, partners).items():
+            acc[typ] = acc.get(typ, 0) + count * multiplicity
     return QSymElement("N", acc)
 
 

@@ -193,3 +193,59 @@ def test_convert_rejects_float_composition_part(capsys):
 def test_mul_rejects_bool_numerator(capsys):
     factor = {"basis": "M", "terms": [{"comp": [1], "num": True, "den": 1}]}
     assert_validation_error(*run_cli(["mul"], json.dumps([factor, factor]), capsys))
+
+
+def matroid_f(payload, capsys):
+    return run_cli(["matroid-f"], json.dumps(payload), capsys)
+
+
+def geom_decompose(payload, capsys):
+    return run_cli(["geom-decompose"], json.dumps(payload), capsys)
+
+
+def test_matroid_f_rejects_float_ground_set_size(capsys):
+    assert_validation_error(*matroid_f({"n": 4.5, "bases": [[1, 2]]}, capsys))
+
+
+def test_matroid_f_rejects_float_basis_element(capsys):
+    assert_validation_error(*matroid_f({"n": 2, "bases": [[1.9, 2]]}, capsys))
+
+
+def test_matroid_f_rejects_bool_basis_element(capsys):
+    assert_validation_error(*matroid_f({"n": 2, "bases": [[True, 2]]}, capsys))
+
+
+def test_matroid_f_rejects_string_ground_set_size(capsys):
+    assert_validation_error(*matroid_f({"n": "3", "bases": [[1, 2]]}, capsys))
+
+
+def test_matroid_f_rejects_bases_not_a_list(capsys):
+    assert_validation_error(*matroid_f({"n": 3, "bases": 5}, capsys))
+
+
+def test_matroid_f_rejects_basis_not_a_list(capsys):
+    assert_validation_error(*matroid_f({"n": 3, "bases": [5]}, capsys))
+
+
+def test_geom_decompose_rejects_float_lambda_part(capsys):
+    payload = {"lambda": [2.5, 1, 1, 1], "J": [[2, 2, 1], [3, 1, 1]]}
+    assert_validation_error(*geom_decompose(payload, capsys))
+
+
+def test_geom_decompose_rejects_lambda_not_a_list(capsys):
+    payload = {"lambda": 5, "J": [[2, 2, 1], [3, 1, 1]]}
+    assert_validation_error(*geom_decompose(payload, capsys))
+
+
+def test_geom_decompose_rejects_J_not_a_list(capsys):
+    assert_validation_error(*geom_decompose({"lambda": [2, 1, 1, 1], "J": 5}, capsys))
+
+
+def test_geom_decompose_rejects_J_member_not_a_list(capsys):
+    payload = {"lambda": [2, 1, 1, 1], "J": [5, [3, 1, 1]]}
+    assert_validation_error(*geom_decompose(payload, capsys))
+
+
+def test_geom_decompose_rejects_bool_J_part(capsys):
+    payload = {"lambda": [2, 1, 1, 1], "J": [[2, 2, True], [3, 1, 1]]}
+    assert_validation_error(*geom_decompose(payload, capsys))

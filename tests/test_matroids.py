@@ -165,6 +165,101 @@ def test_fast_path_matches_linear_extension_oracle():
         )
 
 
+def _pairwise_exchange_valid(base_masks):
+    """The exchange axiom checked pair by pair, as stated: for bases b1 != b2
+    and every e in b1 - b2 some f in b2 - b1 makes b1 - e + f a basis."""
+    masks = list(base_masks)
+    mask_set = set(masks)
+    for b1 in masks:
+        for b2 in masks:
+            if b1 == b2:
+                continue
+            e = b1 & ~b2
+            while e:
+                ebit = e & -e
+                e ^= ebit
+                f = b2 & ~b1
+                ok = False
+                while f:
+                    fbit = f & -f
+                    f ^= fbit
+                    if ((b1 ^ ebit) | fbit) in mask_set:
+                        ok = True
+                        break
+                if not ok:
+                    return False
+    return True
+
+
+def _equal_size_families(n):
+    """Every nonempty family of equal-size subsets of [n], as mask lists."""
+    for k in range(n + 1):
+        subsets = [mat._mask_of(c) for c in itertools.combinations(range(1, n + 1), k)]
+        for pick in range(1, 1 << len(subsets)):
+            yield [m for i, m in enumerate(subsets) if pick >> i & 1]
+
+
+def _labelled_matroids(max_n):
+    for n in range(max_n + 1):
+        for masks in _equal_size_families(n):
+            if _pairwise_exchange_valid(masks):
+                yield Matroid.from_masks(n, masks)
+
+
+def test_exchange_valid_matches_pairwise_oracle_exhaustively():
+    families = 0
+    for n in range(6):
+        for masks in _equal_size_families(n):
+            assert mat.exchange_valid(n, masks) == _pairwise_exchange_valid(masks), masks
+            families += 1
+    assert families == 2229
+    # the labelled matroids on [n], n <= 5: 1, 2, 5, 16, 68, 406
+    assert sum(1 for _ in _labelled_matroids(5)) == 498
+
+
+def test_exchange_valid_matches_pairwise_oracle_on_random_families():
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for n in (6, 7, 8):
+        for _ in range(150):
+            m = mat.sample_loopless_matroid(rng, n)
+            subsets = [
+                mat._mask_of(c) for c in itertools.combinations(range(1, n + 1), m.rank)
+            ]
+            if rng.random() < 0.5:
+                # near a matroid: a sampled one with one subset added or removed
+                masks = list(set(m._masks) ^ {rng.choice(subsets)}) or subsets[:1]
+            else:
+                density = rng.random()
+                masks = [b for b in subsets if rng.random() < density] or subsets[:1]
+            verdict = _pairwise_exchange_valid(masks)
+            assert mat.exchange_valid(n, masks) == verdict, (n, masks)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_fast_path_matches_extensions_on_every_small_matroid():
+    for m in _labelled_matroids(5):
+        assert mat.qsym_of_matroid(m) == mat.qsym_of_matroid(m, method="extensions"), m
+
+
+def test_fast_path_matches_extensions_on_uniform_and_rank_two_families():
+    for n in range(8):
+        for r in range(n + 1):
+            m = uniform(r, n)
+            assert mat.qsym_of_matroid(m) == mat.qsym_of_matroid(m, method="extensions")
+    for n in range(2, 6):
+        for lam in comp.partitions(n, min_parts=2):
+            for loops, coloops in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)):
+                m = mat.rank2_from_partition(lam)
+                for _ in range(loops):
+                    m = m.direct_sum(uniform(0, 1))
+                for _ in range(coloops):
+                    m = m.direct_sum(uniform(1, 1))
+                oracle = mat.qsym_of_matroid(m, method="extensions")
+                assert mat.qsym_of_matroid(m) == oracle, (lam, loops, coloops)
+
+
 def test_invariant_multiplicative_over_direct_sum():
     rng = random.Random(11)
     for _ in range(20):
