@@ -369,15 +369,18 @@ def parse_composition_text(text):
 
     A string containing commas is split on commas; a bare multi-digit string
     is read digit by digit (so "122" means (1,2,2) and "12," means (12,)).
+    Every field must be ASCII digits and only one trailing comma may be
+    left empty; "0" and the empty string are the empty composition.
     """
     text = text.strip()
     if not text or text == "0":
         return ()
-    if "," in text:
-        parts = [p for p in text.split(",") if p.strip()]
-        return as_composition(int(p) for p in parts)
-    if not text.isdigit():
+    if "," not in text:
+        fields = list(text)
+    else:
+        fields = text.split(",")
+        if not fields[-1]:
+            fields.pop()
+    if not all(f.isascii() and f.isdigit() for f in fields):
         raise ValidationError(f"cannot parse composition {text!r}")
-    if len(text) == 1:
-        return (int(text),)
-    return as_composition(int(ch) for ch in text)
+    return as_composition(int(f) for f in fields)

@@ -375,7 +375,9 @@ def nbasis_product_poset(left, right):
 
     Returns (Q, (high_part, low_part)) where high_part collects the labels of
     all odd-indexed antichains of both factors and low_part the even-indexed
-    ones (low_part may be empty).
+    ones (low_part may be empty).  qsym.structure_constants counts the
+    induced ordered partitions of Q without building it; listing them
+    through induced_ordered_partitions is the test oracle.
     """
     left, right = as_composition(left), as_composition(right)
     if not left or not right:

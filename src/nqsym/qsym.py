@@ -8,11 +8,17 @@ alternates by block, every block boundary is always a descent or always an
 ascent, so each L coefficient is a sum of products of per-block counts of
 permutations by run composition (descent-set counts), and no word is
 listed.  The reverse is a unitriangular back substitution.
+
+Products are taken in the monomial basis by quasi-shuffles, or directly in
+the N basis through its structure constants.  Those are counted block by
+block with binomial weights, so the product poset and its induced ordered
+partitions are never built; they remain in posets as the oracle.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from . import linalg
 from .compositions import (
@@ -20,7 +26,6 @@ from .compositions import (
     binary_word,
     composition_to_subset,
     compositions,
-    partition_type,
     rank,
     runs_to_rho,
     subset_to_composition,
@@ -30,7 +35,6 @@ from .compositions import (
 )
 from .elements import QSymElement, TensorElement
 from .errors import NotDivisibleError, ValidationError
-from .posets import induced_ordered_partitions, nbasis_product_poset
 
 MONOMIAL, FUNDAMENTAL, NBASIS = "M", "L", "N"
 
@@ -323,24 +327,54 @@ def mul(q1, q2):
 
 @lru_cache(maxsize=None)
 def structure_constants(left, right):
-    """Expansion of N_left * N_right as a map composition -> count.
+    """Expansion of N_left * N_right as (composition, count) pairs.
 
-    Counts the induced ordered partitions of the relabeled disjoint sum of
-    the two antichain-chain posets by their type; the label split guarantees
-    every induced ordered partition is alternating, so each contributes its
-    type's N element once.
+    N_left * N_right counts the induced ordered partitions of the relabeled
+    disjoint sum of the two antichain-chain posets by their type; the label
+    split makes every one alternating, so each contributes its type's N
+    element once.  Those partitions are counted here, not listed.
+
+    Antichain i of a factor lies in part i mod 2 (0 high, 1 low) and below
+    antichain i + 1.  So a block of part p takes x unplaced elements of the
+    current antichain of left and y of the current antichain of right, each
+    only when that antichain's parity is p, with x + y >= 1; an antichain is
+    left once it is used up, and consecutive blocks alternate parts, the
+    first being high.  Elements of one antichain are interchangeable, so a
+    block is chosen in comb(rem_left, x) * comb(rem_right, y) ways, and each
+    count is a sum of products of binomials, visibly nonnegative.  The DP
+    state is (left antichain, placed from it, right antichain, placed from
+    it, part of the next block), mapped to its suffix type -> count.
     """
     left, right = as_composition(left), as_composition(right)
     if not left:
         return ((right, 1),)
     if not right:
         return ((left, 1),)
-    poset, (high, low) = nbasis_product_poset(left, right)
-    parts = [p for p in (high, low) if p]
-    counts = {}
-    for induced in induced_ordered_partitions(poset, parts):
-        typ = partition_type(induced)
-        counts[typ] = counts.get(typ, 0) + 1
+    memo = {}
+
+    def suffixes(i, a, j, b, part):
+        key = (i, a, j, b, part)
+        if key in memo:
+            return memo[key]
+        if i == len(left) and j == len(right):
+            return {(): 1}
+        xs = left[i] - a if i < len(left) and i % 2 == part else 0
+        ys = right[j] - b if j < len(right) and j % 2 == part else 0
+        out = {}
+        for x in range(xs + 1):
+            ni, na = (i + 1, 0) if x and x == xs else (i, a + x)
+            for y in range(ys + 1):
+                if not x + y:
+                    continue
+                nj, nb = (j + 1, 0) if y and y == ys else (j, b + y)
+                ways = comb(xs, x) * comb(ys, y)
+                for typ, count in suffixes(ni, na, nj, nb, 1 - part).items():
+                    typ = (x + y,) + typ
+                    out[typ] = out.get(typ, 0) + ways * count
+        memo[key] = out
+        return out
+
+    counts = suffixes(0, 0, 0, 0, 0)
     return tuple(sorted(counts.items(), key=lambda kv: term_order_key(kv[0])))
 
 

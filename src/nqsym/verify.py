@@ -27,6 +27,7 @@ from .compositions import (
     weight,
 )
 from .elements import QSymElement
+from .errors import ValidationError
 from .matroids import (
     duality_check,
     full_split_to_length3,
@@ -530,6 +531,8 @@ CHECKS = (
 def run_all(max_n=8, seed=0):
     """Run every check with its bounds capped at max_n and, if it takes a
     seed, with seed; returns the report."""
+    if max_n < 2:
+        raise ValidationError(f"verify needs max_n >= 2, got {max_n}")
     results = []
     for check_id, func in CHECKS:
         kwargs = {}

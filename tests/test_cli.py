@@ -249,3 +249,31 @@ def test_geom_decompose_rejects_J_member_not_a_list(capsys):
 def test_geom_decompose_rejects_bool_J_part(capsys):
     payload = {"lambda": [2, 1, 1, 1], "J": [[2, 2, True], [3, 1, 1]]}
     assert_validation_error(*geom_decompose(payload, capsys))
+
+
+def test_expand_rejects_empty_comma_field(capsys):
+    assert_validation_error(*run_cli(["expand", "--comp", "1,,2"], capsys=capsys))
+
+
+def test_expand_rejects_leading_comma(capsys):
+    assert_validation_error(*run_cli(["expand", "--comp", ",3"], capsys=capsys))
+
+
+def test_expand_rejects_underscore_in_part(capsys):
+    assert_validation_error(*run_cli(["expand", "--comp", "1_0,2"], capsys=capsys))
+
+
+def test_expand_rejects_non_ascii_digit(capsys):
+    assert_validation_error(*run_cli(["expand", "--comp", "²"], capsys=capsys))
+
+
+def test_rank2_split_rejects_empty_lambda_field(capsys):
+    argv = ["rank2-split", "--lambda", "2,,2,1", "--s", "2"]
+    assert_validation_error(*run_cli(argv, capsys=capsys))
+
+
+def test_verify_rejects_max_n_below_two(capsys):
+    for max_n in ("1", "0", "-1"):
+        code, out = run_cli(["verify", "--max-n", max_n], capsys=capsys)
+        assert_validation_error(code, out)
+        assert "max_n >= 2" in json.loads(out)["error"]["message"]

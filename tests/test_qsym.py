@@ -216,6 +216,45 @@ def test_structure_constants_examples():
     assert dict(qsym.structure_constants((), (2, 1))) == {(2, 1): 1}
 
 
+def _structure_constants_by_enumeration(left, right):
+    """Oracle: list every induced ordered partition of the product poset and
+    count them by type."""
+    from nqsym.posets import induced_ordered_partitions, nbasis_product_poset
+
+    if not left:
+        return ((right, 1),)
+    if not right:
+        return ((left, 1),)
+    poset, (high, low) = nbasis_product_poset(left, right)
+    parts = [p for p in (high, low) if p]
+    counts = {}
+    for induced in induced_ordered_partitions(poset, parts):
+        typ = comp.partition_type(induced)
+        counts[typ] = counts.get(typ, 0) + 1
+    return tuple(sorted(counts.items(), key=lambda kv: comp.term_order_key(kv[0])))
+
+
+def test_structure_constants_match_enumeration():
+    pairs = 0
+    for total in range(9):
+        for wa in range(total + 1):
+            for alpha in comp.compositions(wa):
+                for beta in comp.compositions(total - wa):
+                    expected = _structure_constants_by_enumeration(alpha, beta)
+                    assert qsym.structure_constants(alpha, beta) == expected, (alpha, beta)
+                    pairs += 1
+    assert pairs == 1280
+
+
+def test_structure_constants_are_symmetric():
+    fives = list(comp.compositions(5))
+    for alpha in fives:
+        for beta in fives:
+            assert qsym.structure_constants(alpha, beta) == qsym.structure_constants(
+                beta, alpha
+            ), (alpha, beta)
+
+
 def test_mul_nbasis_matches_oracle_small():
     for total in range(2, 7):
         for wa in range(1, total):

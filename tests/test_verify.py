@@ -1,6 +1,9 @@
 import inspect
 
+import pytest
+
 from nqsym import verify
+from nqsym.errors import ValidationError
 
 
 def test_full_bounds_match_check_signatures():
@@ -34,3 +37,9 @@ def test_run_all_passes_the_seed_through(monkeypatch):
         if "seed" in verify.FULL_BOUNDS[check_id]:
             assert kwargs["seed"] == 5, check_id
     assert sum("seed" in kwargs for kwargs in calls.values()) == 3
+
+
+def test_run_all_rejects_max_n_below_two():
+    for max_n in (1, 0, -1):
+        with pytest.raises(ValidationError, match="max_n >= 2"):
+            verify.run_all(max_n=max_n)
