@@ -24,10 +24,17 @@ OrderedPartition = tuple
 
 
 def as_composition(parts):
-    """Validate and normalize a composition to a tuple of positive ints."""
-    comp = tuple(int(p) for p in parts)
-    if any(p < 1 for p in comp):
-        raise ValidationError(f"composition parts must be >= 1, got {comp}")
+    """Validate a composition as a tuple of positive ints.
+
+    A part that is not an int (a bool, float or string) is rejected, never
+    converted, so nothing is silently truncated.
+    """
+    comp = tuple(parts)
+    for p in comp:
+        if type(p) is not int:
+            raise ValidationError(f"composition parts must be integers, got {p!r}")
+        if p < 1:
+            raise ValidationError(f"composition parts must be >= 1, got {comp}")
     return comp
 
 

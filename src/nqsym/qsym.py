@@ -20,7 +20,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from . import linalg
 from .compositions import (
     as_composition,
     binary_word,
@@ -428,14 +427,6 @@ def tensor_convert(tensor, target):
 # the rank grading and related subspaces
 
 
-@lru_cache(maxsize=None)
-def compositions_of_rank(n, r):
-    """Weight-n compositions of rank r, in binary word order."""
-    return tuple(
-        c for c in ordered_compositions(n) if rank(c) == r
-    )
-
-
 def supp(element):
     """Support of the N-basis expansion."""
     return convert(element, "N").support()
@@ -458,10 +449,14 @@ def quotient_J_project(element):
 def divide_by_pure_power(element, s):
     """Solve N_(s) * p == element for p, exactly.
 
-    The element must be homogeneous of degree n >= s >= 1.  Because the N
-    product adds ranks, the system splits by rank and each block is solved
-    as an exact rational linear system; inconsistency raises
-    NotDivisibleError.
+    The element must be homogeneous of degree n >= s >= 1.  In
+    N_(s) * N_beta the type (s + beta_0, beta_1, ...) has coefficient 1 and
+    every other type a smaller first part, so p is peeled off the element:
+    a remaining term gamma whose first part is largest is the leading type
+    of beta = (gamma_0 - s, gamma_1, ...), which takes its coefficient, and
+    that multiple of N_(s) * N_beta is subtracted.  A leading term that no
+    beta produces raises NotDivisibleError; the residual reaching zero
+    proves the division exact.
     """
     if s < 1:
         raise ValidationError("the divisor exponent must be >= 1")
@@ -471,33 +466,21 @@ def divide_by_pure_power(element, s):
     n = q.degree()
     if n < s:
         raise NotDivisibleError(f"degree {n} is smaller than the divisor degree {s}")
-    by_rank = {}
-    for comp, coeff in q.terms.items():
-        by_rank.setdefault(rank(comp), {})[comp] = coeff
-    result = {}
-    for r_total, terms in by_rank.items():
-        r_quot = r_total - s
-        candidates = compositions_of_rank(n - s, r_quot) if r_quot >= 0 else ()
-        if not candidates:
-            raise NotDivisibleError(
-                f"no rank {r_quot} component of degree {n - s} can produce rank {r_total}"
-            )
-        row_space = compositions_of_rank(n, r_total)
-        row_index = {c: i for i, c in enumerate(row_space)}
-        columns = []
-        for beta in candidates:
-            col = [0] * len(row_space)
-            for comp, k in structure_constants((s,), beta):
-                col[row_index[comp]] += k
-            columns.append(col)
-        target = [terms.get(c, 0) for c in row_space]
-        solution = linalg.solve_columns(columns, target)
-        if solution is None:
+    residual = dict(q.terms)
+    quotient = {}
+    while residual:
+        lead = max(residual, key=lambda c: c[0])
+        if lead == (s,):
+            beta = ()
+        elif lead[0] > s:
+            beta = (lead[0] - s,) + lead[1:]
+        else:
             raise NotDivisibleError("element is not divisible by the pure power")
-        for beta, value in zip(candidates, solution):
+        coeff = quotient[beta] = residual[lead]
+        for comp, k in structure_constants((s,), beta):
+            value = residual.get(comp, 0) - coeff * k
             if value:
-                result[beta] = result.get(beta, 0) + value
-    quotient = QSymElement("N", result)
-    if nbasis_product(QSymElement.single("N", (s,)), quotient) != q:
-        raise NotDivisibleError("element is not divisible by the pure power")
-    return quotient
+                residual[comp] = value
+            else:
+                del residual[comp]
+    return QSymElement("N", quotient)

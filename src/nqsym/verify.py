@@ -135,23 +135,22 @@ def check_zbasis(max_n=8):
                 failures.append(f"n={n}: entry below the diagonal in row {order[i]}")
             if any(not isinstance(v, int) for v in rows[i]):
                 failures.append(f"n={n}: non-integer entry in row {order[i]}")
-        forward = qsym.transition_matrix(n, "N", "L")
-        backward = qsym.transition_matrix(n, "L", "N")
-        if any(not isinstance(v, int) for row in forward.rows for v in row):
+        # sparse rows of the two transition matrices
+        comps = qsym.ordered_compositions(n)
+        forward = {c: qsym.convert(QSymElement.single("N", c), "L").terms for c in comps}
+        backward = {c: qsym.convert(QSymElement.single("L", c), "N").terms for c in comps}
+        if any(not isinstance(v, int) for row in forward.values() for v in row.values()):
             failures.append(f"n={n}: N->L matrix not integer")
-        if any(not isinstance(v, int) for row in backward.rows for v in row):
+        if any(not isinstance(v, int) for row in backward.values() for v in row.values()):
             failures.append(f"n={n}: L->N matrix not integer")
-        dim = len(forward.order)
-        for i in range(dim):
-            row = forward.rows[i]
-            for j in range(dim):
-                entry = sum(row[k] * backward.rows[k][j] for k in range(dim))
-                if entry != (1 if i == j else 0):
-                    failures.append(f"n={n}: product is not the identity")
-                    break
-            else:
-                continue
-            break
+        for alpha, row in forward.items():
+            product = {}
+            for beta, a in row.items():
+                for gamma, b in backward[beta].items():
+                    product[gamma] = product.get(gamma, 0) + a * b
+            if {c: v for c, v in product.items() if v} != {alpha: 1}:
+                failures.append(f"n={n}: product is not the identity")
+                break
     return _result(
         "zbasis-unitriangular",
         "N to L transition is integer unitriangular with integer inverse",

@@ -1,4 +1,6 @@
-"""Tiny exact linear algebra over Fraction, enough for desk-scale systems."""
+"""Exact Fraction Gauss-Jordan elimination, the reference that the
+triangular solves and the determinant and rank assertions are checked
+against.  test_linalg.py checks it on every small matrix."""
 
 from fractions import Fraction
 

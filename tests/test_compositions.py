@@ -3,6 +3,8 @@ from itertools import permutations
 import pytest
 
 from nqsym import compositions as comp
+from nqsym import qsym
+from nqsym.elements import QSymElement
 from nqsym.errors import ValidationError
 
 
@@ -239,6 +241,20 @@ def test_permutation_validation():
         comp.as_composition((1, 0, 2))
     with pytest.raises(ValidationError):
         comp.as_ordered_partition([{1, 2}, {2, 3}])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QSymElement("N", {(2.7, True): 1}),
+        lambda: qsym.structure_constants((1.9,), (2,)),
+        lambda: comp.as_composition(("3",)),
+    ],
+    ids=["float-and-bool-element-key", "float-structure-constants-factor", "string-part"],
+)
+def test_non_int_parts_are_rejected_not_truncated(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_json_codecs():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from nqsym import linalg
+import _linalg_oracle as linalg
 
 ENTRIES = (-1, 0, 1)
 

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import _linalg_oracle as linalg
 from nqsym import compositions as comp
 from nqsym import matroids as mat
 from nqsym import qsym
@@ -324,10 +325,8 @@ def test_T_U_vectors():
 
 
 def test_U_vectors_span_rank_two_space():
-    from nqsym import linalg
-
     for n in range(2, 10):
-        comps = qsym.compositions_of_rank(n, 2)
+        comps = [c for c in qsym.ordered_compositions(n) if comp.rank(c) == 2]
         rows = []
         for k in range(1, n):
             vec = mat.U_vec(n, k)
@@ -339,6 +338,49 @@ def test_U_vectors_span_rank_two_space():
             vec = mat.U_vec(n, k) + mat.U_vec(n, n - k)
             sym.append([Fraction(vec.terms.get(c, 0)) for c in comps])
         assert linalg.matrix_rank(sym) == n // 2
+
+
+def _u_coordinates_by_gauss_jordan(element):
+    """Oracle: the U coordinates as one exact linear system over all the
+    rank-two compositions of the degree."""
+    q = qsym.convert(element, "N")
+    n = q.degree()
+    if n < 2 or not qsym.in_Vnr(q, n, 2):
+        raise ValidationError("not in the rank-two span")
+    rows = [c for c in qsym.ordered_compositions(n) if comp.rank(c) == 2]
+    columns = [[mat.U_vec(n, k).terms.get(c, 0) for c in rows] for k in range(1, n)]
+    solution = linalg.solve_columns(columns, [q.terms.get(c, 0) for c in rows])
+    if solution is None:
+        raise ValidationError("not in the span of the U vectors")
+    return n, tuple(solution)
+
+
+def test_u_coordinates_match_gauss_jordan():
+    for n in range(2, 13):
+        for lam in comp.partitions(n, min_parts=2):
+            q = mat.rank2_qsym(lam)
+            n_out, t = mat.u_coordinates(q)
+            assert (n_out, t) == _u_coordinates_by_gauss_jordan(q)
+            assert all(isinstance(x, Fraction) for x in t)
+            assert t == tuple(Fraction(lam.count(k)) for k in range(1, n))
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        t = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(1, n)]
+        q = QSymElement.zero("N")
+        for k in range(1, n):
+            q = q + mat.U_vec(n, k).scale(t[k - 1])
+        if q:
+            assert mat.u_coordinates(q) == _u_coordinates_by_gauss_jordan(q) == (n, tuple(t))
+    for bad in [
+        QSymElement.single("N", (1, 3)),
+        QSymElement("N", {(2, 2): 1, (1, 3): 1}),
+        QSymElement("N", {(2, 2): 1, (3, 1, 1): 2}),
+    ]:
+        with pytest.raises(ValidationError):
+            _u_coordinates_by_gauss_jordan(bad)
+        with pytest.raises(ValidationError):
+            mat.u_coordinates(bad)
 
 
 def test_rank2_class_examples():
@@ -572,6 +614,38 @@ def test_hilbert_basis_check_n6():
     assert gens == {(4, 1, 1), (3, 2, 1), (2, 2, 2)}
     assert report["sum_bound"] == 1
     assert report["decompositions"]["[2, 2, 1, 1]"]["valid"]
+
+
+def _generator_sums(n):
+    """Oracle for indecomposability: every length-three class equal to a
+    sum of two or three length-three classes, found by searching every
+    multiset of generators."""
+    gens = [lam for lam in comp.partitions(n, min_parts=3) if len(lam) == 3]
+    vectors = {lam: mat.ubar_coordinates_of_partition(lam) for lam in gens}
+    found = []
+    for size in (2, 3):
+        for combo in itertools.combinations_with_replacement(gens, size):
+            total = {k: sum(vectors[lam][k] for lam in combo) for k in vectors[gens[0]]}
+            found += [(lam, combo) for lam in gens if vectors[lam] == total]
+    return found
+
+
+def test_hilbert_indecomposability_matches_multiset_search():
+    for n in range(3, 10):
+        report = mat.hilbert_basis_check(n)
+        assert report["indecomposable"] == (not _generator_sums(n))
+        assert report["counterexample"] is None
+        assert list(report) == [
+            "n",
+            "generators",
+            "pairwise_distinct",
+            "indecomposable",
+            "sum_bound",
+            "counterexample",
+            "longer_classes_decompose",
+            "decompositions",
+            "passed",
+        ]
 
 
 def test_duality():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import _linalg_oracle as linalg
 from nqsym import compositions as comp
-from nqsym import linalg
 from nqsym import qsym
 from nqsym.elements import QSymElement, format_element
 from nqsym.errors import NotDivisibleError, ValidationError
@@ -331,11 +331,10 @@ def test_supp_and_Vnr():
     from math import comb
 
     for n in range(1, 11):
-        for r in range(1, n + 1):
-            assert len(qsym.compositions_of_rank(n, r)) == comb(n - 1, r - 1)
-        assert sum(len(qsym.compositions_of_rank(n, r)) for r in range(1, n + 1)) == 2 ** (
-            n - 1
-        )
+        counts = [0] * (n + 1)
+        for c in qsym.ordered_compositions(n):
+            counts[comp.rank(c)] += 1
+        assert counts == [0] + [comb(n - 1, r - 1) for r in range(1, n + 1)]
 
 
 def test_quotient_projection():
@@ -355,6 +354,13 @@ def test_divide_by_pure_power():
     assert qsym.divide_by_pure_power(QSymElement.single("N", (2,)), 1).terms == {(1,): 1}
     with pytest.raises(NotDivisibleError):
         qsym.divide_by_pure_power(QSymElement.single("N", (1, 1)), 1)
+    with pytest.raises(NotDivisibleError):
+        qsym.divide_by_pure_power(QSymElement.single("N", (2,)), 3)
+    with pytest.raises(ValidationError):
+        qsym.divide_by_pure_power(QSymElement.single("N", (2,)), 0)
+    with pytest.raises(ValidationError):
+        qsym.divide_by_pure_power(QSymElement("N", {(2,): 1, (3,): 1}), 1)
+    assert qsym.divide_by_pure_power(QSymElement.zero("L"), 2) == QSymElement.zero("N")
     rng = random.Random(53)
     for _ in range(25):
         n = rng.randint(1, 5)
@@ -365,6 +371,84 @@ def test_divide_by_pure_power():
         )
         product = qsym.nbasis_product(QSymElement.single("N", (s,)), q)
         assert qsym.divide_by_pure_power(product, s) == qsym.convert(q, "N")
+
+
+def _divide_by_gauss_jordan(element, s):
+    """Oracle: N_(s) * p == element solved rank by rank as a linear system
+    (the N product adds ranks), then checked by multiplying back."""
+    q = qsym.convert(element, "N")
+    if not q:
+        return QSymElement.zero("N")
+    n = q.degree()
+    if n < s:
+        raise NotDivisibleError("degree below the divisor degree")
+    by_rank = {}
+    for c, coeff in q.terms.items():
+        by_rank.setdefault(comp.rank(c), {})[c] = coeff
+    result = {}
+    for r_total, terms in by_rank.items():
+        candidates = [c for c in qsym.ordered_compositions(n - s) if comp.rank(c) == r_total - s]
+        if not candidates:
+            raise NotDivisibleError("no quotient rank")
+        row_space = [c for c in qsym.ordered_compositions(n) if comp.rank(c) == r_total]
+        row_index = {c: i for i, c in enumerate(row_space)}
+        columns = []
+        for beta in candidates:
+            col = [0] * len(row_space)
+            for c, k in qsym.structure_constants((s,), beta):
+                col[row_index[c]] += k
+            columns.append(col)
+        solution = linalg.solve_columns(columns, [terms.get(c, 0) for c in row_space])
+        if solution is None:
+            raise NotDivisibleError("inconsistent system")
+        for beta, value in zip(candidates, solution):
+            if value:
+                result[beta] = value
+    quotient = QSymElement("N", result)
+    if qsym.nbasis_product(QSymElement.single("N", (s,)), quotient) != q:
+        raise NotDivisibleError("the product does not match")
+    return quotient
+
+
+def _quotient_or_none(divide, element, s):
+    try:
+        return divide(element, s)
+    except NotDivisibleError:
+        return None
+
+
+def test_divide_by_pure_power_matches_gauss_jordan():
+    for w in range(7):
+        for beta in comp.compositions(w):
+            for s in (1, 2, 3):
+                product = qsym.nbasis_product(
+                    QSymElement.single("N", (s,)), QSymElement.single("N", beta)
+                )
+                quotient = qsym.divide_by_pure_power(product, s)
+                assert quotient.terms == {beta: 1}
+                assert quotient.is_integral()
+                assert _divide_by_gauss_jordan(product, s) == quotient
+    rng = random.Random(61)
+    not_divisible = 0
+    for _ in range(150):
+        n, s = rng.randint(1, 5), rng.randint(1, 3)
+        cands = [c for c in comp.compositions(n) if c]
+        p = QSymElement(
+            "N",
+            {
+                rng.choice(cands): Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                rng.choice(cands): Fraction(1, 3),
+            },
+        )
+        product = qsym.nbasis_product(QSymElement.single("N", (s,)), p)
+        assert qsym.divide_by_pure_power(product, s) == p
+        assert _divide_by_gauss_jordan(product, s) == p
+        extra = [c for c in comp.compositions(n + s) if c]
+        perturbed = product + QSymElement.single("N", rng.choice(extra), rng.randint(1, 2))
+        expected = _quotient_or_none(_divide_by_gauss_jordan, perturbed, s)
+        assert _quotient_or_none(qsym.divide_by_pure_power, perturbed, s) == expected
+        not_divisible += expected is None
+    assert not_divisible >= 100
 
 
 def test_quasi_shuffle_counts():

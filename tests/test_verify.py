@@ -1,8 +1,10 @@
 import inspect
+from fractions import Fraction
 
 import pytest
 
-from nqsym import verify
+from nqsym import qsym, verify
+from nqsym.elements import QSymElement
 from nqsym.errors import ValidationError
 
 
@@ -43,3 +45,25 @@ def test_run_all_rejects_max_n_below_two():
     for max_n in (1, 0, -1):
         with pytest.raises(ValidationError, match="max_n >= 2"):
             verify.run_all(max_n=max_n)
+
+
+@pytest.mark.parametrize(
+    "extra, failures",
+    [
+        (1, ["n=3: product is not the identity"]),
+        (Fraction(1, 2), ["n=3: L->N matrix not integer", "n=3: product is not the identity"]),
+    ],
+)
+def test_zbasis_check_catches_a_wrong_inverse_row(monkeypatch, extra, failures):
+    convert = qsym.convert
+
+    def skewed(element, target):
+        out = convert(element, target)
+        if element.basis == "L" and target == "N" and element.terms == {(1, 2): 1}:
+            return out + QSymElement.single("N", (3,), extra)
+        return out
+
+    monkeypatch.setattr(qsym, "convert", skewed)
+    result = verify.check_zbasis(max_n=3)
+    assert not result.passed
+    assert result.details["failures"] == failures
