@@ -48,7 +48,7 @@ def _read_json_stdin():
 def cmd_expand(args):
     comp = parse_composition_text(args.comp)
     in_l = n_basis_element(comp)
-    in_m = convert(in_l, "M")
+    in_m = convert(QSymElement.single("N", comp), "M")
     payload = {
         "composition": list(comp),
         "L": in_l.to_json(),

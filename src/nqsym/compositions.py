@@ -39,11 +39,17 @@ def as_composition(parts):
 
 
 def drop_zero_parts(parts):
-    """Normalize formula output that may contain zero parts, e.g. (2, 0) -> (2,)."""
-    comp = tuple(int(p) for p in parts)
-    if any(p < 0 for p in comp):
-        raise ValidationError(f"parts must be >= 0, got {comp}")
-    return tuple(p for p in comp if p > 0)
+    """Normalize formula output that may contain zero parts, e.g. (2, 0) -> (2,).
+
+    Parts must be ints, as in as_composition; nothing is converted.
+    """
+    comp = tuple(parts)
+    for p in comp:
+        if type(p) is not int:
+            raise ValidationError(f"composition parts must be integers, got {p!r}")
+        if p < 0:
+            raise ValidationError(f"parts must be >= 0, got {comp}")
+    return tuple(p for p in comp if p)
 
 
 def weight(comp):

@@ -22,6 +22,8 @@ BASES = ("M", "L", "N")
 
 
 def _norm_coeff(value):
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, int):
@@ -64,6 +66,18 @@ class QSymElement:
         raise AttributeError("QSymElement is immutable")
 
     # -- constructors
+
+    @classmethod
+    def _trusted(cls, basis, terms):
+        """Element built from a dict whose keys are already valid compositions
+        and whose coefficients are ints or Fractions, as every internal
+        builder produces; zero coefficients are dropped and integral
+        Fractions become ints, but no key is revalidated."""
+        self = object.__new__(cls)
+        clean = {comp: _norm_coeff(coeff) for comp, coeff in terms.items() if coeff}
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "basis", basis)
+        return self
 
     @classmethod
     def zero(cls, basis="M"):
@@ -121,21 +135,23 @@ class QSymElement:
         out = dict(left.terms)
         for comp, coeff in right.terms.items():
             out[comp] = out.get(comp, 0) + coeff
-        return QSymElement(left.basis, out)
+        return QSymElement._trusted(left.basis, out)
 
     def __sub__(self, other):
         left, right = self._aligned(other)
         out = dict(left.terms)
         for comp, coeff in right.terms.items():
             out[comp] = out.get(comp, 0) - coeff
-        return QSymElement(left.basis, out)
+        return QSymElement._trusted(left.basis, out)
 
     def __neg__(self):
-        return QSymElement(self.basis, {c: -v for c, v in self.terms.items()})
+        return QSymElement._trusted(self.basis, {c: -v for c, v in self.terms.items()})
 
     def scale(self, scalar):
         scalar = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
-        return QSymElement(self.basis, {c: v * scalar for c, v in self.terms.items()})
+        return QSymElement._trusted(
+            self.basis, {c: v * scalar for c, v in self.terms.items()}
+        )
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -174,8 +190,9 @@ class QSymElement:
     def to_json(self):
         out = []
         for comp, coeff in self.sorted_terms():
-            frac = Fraction(coeff)
-            out.append({"comp": list(comp), "num": frac.numerator, "den": frac.denominator})
+            out.append(
+                {"comp": list(comp), "num": coeff.numerator, "den": coeff.denominator}
+            )
         return {"basis": self.basis, "terms": out}
 
     @classmethod

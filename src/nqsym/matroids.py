@@ -426,7 +426,7 @@ def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT, method="fast"):
     for (rank, partners), multiplicity in shapes.items():
         for typ, count in _basis_type_counts(rank, partners).items():
             acc[typ] = acc.get(typ, 0) + count * multiplicity
-    return QSymElement("N", acc)
+    return QSymElement._trusted("N", acc)
 
 
 def loops_coloops_from_qsym(element):

@@ -2,12 +2,13 @@
 
 The N basis element of a composition is the poset generating function of the
 alternately labeled ordinal sum of antichains with those block sizes.  All
-coefficients are exact rationals.  Conversions route through the fundamental
-basis.  The N to L direction is a closed form: because the labeling
-alternates by block, every block boundary is always a descent or always an
-ascent, so each L coefficient is a sum of products of per-block counts of
-permutations by run composition (descent-set counts), and no word is
-listed.  The reverse is a unitriangular back substitution.
+coefficients are exact rationals.  Because the labeling alternates by block,
+every block boundary is always a descent or always an ascent, so the N to L
+and N to M expansions are closed forms: each coefficient is a sum of
+products of per-block counts (permutations by run composition for L,
+ordered set partitions by type for M), and no word or P-partition is
+listed.  Every other conversion routes through the fundamental basis; L to
+N is a unitriangular back substitution.
 
 Products are taken in the monomial basis by quasi-shuffles, or directly in
 the N basis through its structure constants.  Those are counted block by
@@ -18,7 +19,7 @@ partitions are never built; they remain in posets as the oracle.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 from .compositions import (
     as_composition,
@@ -140,7 +141,58 @@ def nbasis_in_fundamental(comp):
 
 def n_basis_element(comp):
     """The N element of a composition, expanded in the fundamental basis."""
-    return QSymElement("L", dict(nbasis_in_fundamental(comp)))
+    return QSymElement._trusted("L", dict(nbasis_in_fundamental(comp)))
+
+
+# ---------------------------------------------------------------------------
+# the N basis in the monomial basis
+
+
+@lru_cache(maxsize=None)
+def _level_classes(a):
+    """Types of the ordered set partitions of an a-element antichain, with
+    their counts: each composition c of a with the multinomial a!/prod c_i!."""
+    out = []
+    for comp in compositions(a):
+        count = factorial(a)
+        for part in comp:
+            count //= factorial(part)
+        out.append((comp, count))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def nbasis_in_monomial(comp):
+    """M-expansion of the N element: counts of the level-set types of its
+    P-partitions (Gessel 1984).
+
+    A P-partition's level sets, listed from the smallest value up, form an
+    ordered set partition of the poset.  Antichain j lies below antichain
+    j + 1, strictly across a descent (even j) and weakly across an ascent
+    (odd j), so a level holds elements of one antichain, except that across
+    an ascent the last level of antichain j may share its value with the
+    first level of antichain j + 1.  Folding the per-block level classes
+    left to right therefore concatenates their types, and across an ascent
+    also merges the touching parts.
+    """
+    comp = as_composition(comp)
+    if not comp:
+        return (((), 1),)
+    counts = dict(_level_classes(comp[0]))
+    for j, a in enumerate(comp[1:]):
+        weak = j % 2 == 1
+        classes = _level_classes(a)
+        nxt = {}
+        for left, lc in counts.items():
+            for right, rc in classes:
+                ways = lc * rc
+                key = left + right
+                nxt[key] = nxt.get(key, 0) + ways
+                if weak:
+                    key = left[:-1] + (left[-1] + right[0],) + right[1:]
+                    nxt[key] = nxt.get(key, 0) + ways
+        counts = nxt
+    return tuple(sorted(counts.items(), key=lambda kv: term_order_key(kv[0])))
 
 
 @lru_cache(maxsize=None)
@@ -197,9 +249,10 @@ def convert(element, target):
         return _expand_termwise(element, _monomial_in_fundamental, "L")
     if element.basis == "L" and target == "M":
         return _expand_termwise(element, _fundamental_in_monomial, "M")
-    if element.basis == "N" and target in ("L", "M"):
-        in_l = _expand_termwise(element, nbasis_in_fundamental, "L")
-        return in_l if target == "L" else convert(in_l, "M")
+    if element.basis == "N" and target == "L":
+        return _expand_termwise(element, nbasis_in_fundamental, "L")
+    if element.basis == "N" and target == "M":
+        return _expand_termwise(element, nbasis_in_monomial, "M")
     if target == "N":
         in_l = convert(element, "L")
         out = {}
@@ -210,7 +263,7 @@ def convert(element, target):
                 continue
             for comp, coeff in _fundamental_to_nbasis_degree(terms, n).items():
                 out[comp] = out.get(comp, 0) + coeff
-        return QSymElement("N", out)
+        return QSymElement._trusted("N", out)
     raise ValidationError(f"no conversion from {element.basis} to {target}")
 
 
@@ -218,9 +271,8 @@ def _expand_termwise(element, table, target):
     out = {}
     for comp, coeff in element.terms.items():
         for beta, factor in table(comp):
-            key = beta
-            out[key] = out.get(key, 0) + coeff * factor
-    return QSymElement(target, out)
+            out[beta] = out.get(beta, 0) + coeff * factor
+    return QSymElement._trusted(target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +373,7 @@ def mul(q1, q2):
             scale = cg * cd
             for comp, k in quasi_shuffle(gamma, delta):
                 out[comp] = out.get(comp, 0) + scale * k
-    return QSymElement("M", out)
+    return QSymElement._trusted("M", out)
 
 
 @lru_cache(maxsize=None)
@@ -379,7 +431,7 @@ def structure_constants(left, right):
 
 def mul_nbasis(left, right):
     """Product of two N basis vectors, expanded in the N basis."""
-    return QSymElement("N", dict(structure_constants(left, right)))
+    return QSymElement._trusted("N", dict(structure_constants(left, right)))
 
 
 def nbasis_product(q1, q2):
@@ -392,7 +444,7 @@ def nbasis_product(q1, q2):
             scale = ca * cb
             for comp, k in structure_constants(a, b):
                 out[comp] = out.get(comp, 0) + scale * k
-    return QSymElement("N", out)
+    return QSymElement._trusted("N", out)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +493,7 @@ def quotient_J_project(element):
     """Canonical representative modulo the ideal generated by the degree one
     element: drop all odd-length compositions from the N expansion."""
     q = convert(element, "N")
-    return QSymElement(
+    return QSymElement._trusted(
         "N", {c: v for c, v in q.terms.items() if len(c) % 2 == 0}
     )
 
@@ -483,4 +535,4 @@ def divide_by_pure_power(element, s):
                 residual[comp] = value
             else:
                 del residual[comp]
-    return QSymElement("N", quotient)
+    return QSymElement._trusted("N", quotient)

@@ -40,6 +40,17 @@ def test_expand_pretty(capsys):
     assert "N[122]" in out and "L[14]" in out
 
 
+def test_expand_monomial_payload_matches_route_through_fundamental(capsys):
+    from nqsym.elements import QSymElement
+    from nqsym.qsym import convert
+
+    for comp in [(6,), (1, 2, 3), (3, 1, 1, 2), (2, 2, 2, 2), (1, 3, 1, 2, 2), (9,)]:
+        code, out = run_cli(["expand", "--comp", ",".join(map(str, comp))], capsys=capsys)
+        assert code == 0
+        in_l = convert(QSymElement.single("N", comp), "L")
+        assert json.loads(out)["M"] == convert(in_l, "M").to_json(), comp
+
+
 def test_convert_and_mul(capsys):
     element = {"basis": "N", "terms": [{"comp": [2], "num": 1, "den": 1}]}
     code, out = run_cli(["convert", "--to", "M"], json.dumps(element), capsys)

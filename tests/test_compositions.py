@@ -257,6 +257,24 @@ def test_non_int_parts_are_rejected_not_truncated(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "parts",
+    [(2.7, 0, True), (1, 0, "3"), (2.0, 1), (True, 2)],
+    ids=["float-zero-bool", "string", "integral-float", "bool"],
+)
+def test_drop_zero_parts_rejects_non_int_parts(parts):
+    with pytest.raises(ValidationError):
+        comp.drop_zero_parts(parts)
+
+
+def test_drop_zero_parts_drops_zeros_and_rejects_negatives():
+    assert comp.drop_zero_parts((2, 0)) == (2,)
+    assert comp.drop_zero_parts((0, 1, 0, 3)) == (1, 3)
+    assert comp.drop_zero_parts((0,)) == ()
+    with pytest.raises(ValidationError):
+        comp.drop_zero_parts((2, -1))
+
+
 def test_json_codecs():
     K = comp.as_ordered_partition([{2, 7}, {5}])
     assert comp.ordered_partition_from_json(comp.ordered_partition_to_json(K)) == K

@@ -14,6 +14,16 @@ from nqsym.errors import ValidationError
 from nqsym.matroids import Matroid, RankTwoClass, uniform
 
 
+def test_invariant_is_normalized():
+    rng = random.Random(67)
+    matroids = [uniform(2, 4), uniform(1, 2).direct_sum(uniform(0, 2))]
+    matroids += [mat.sample_loopless_matroid(rng, rng.randint(2, 7)) for _ in range(12)]
+    for m in matroids:
+        f = mat.qsym_of_matroid(m)
+        assert f == QSymElement(f.basis, f.terms)
+        assert all(type(v) is int and v > 0 for v in f.terms.values())
+
+
 def test_construction_validates_exchange():
     with pytest.raises(ValidationError):
         Matroid(3, [{1, 2}, {3}])

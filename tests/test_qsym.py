@@ -145,6 +145,59 @@ def test_convert_round_trips():
             assert qsym.convert(qsym.convert(q, target), basis) == q
 
 
+def test_nbasis_in_monomial_matches_route_through_fundamental():
+    for n in range(10):
+        for alpha in comp.compositions(n):
+            n_alpha = QSymElement.single("N", alpha)
+            oracle = qsym.convert(qsym.convert(n_alpha, "L"), "M")
+            assert qsym.nbasis_in_monomial(alpha) == tuple(oracle.sorted_terms()), alpha
+
+
+def assert_normalized(element):
+    assert element == QSymElement(element.basis, element.terms)
+    for value in element.terms.values():
+        assert type(value) in (int, Fraction) and value != 0
+        assert not (isinstance(value, Fraction) and value.denominator == 1)
+
+
+def test_internal_builders_return_normalized_elements():
+    half = Fraction(1, 2)
+    # L[2] - L[11] = M[2]: the M[11] terms cancel, and halves sum to ints
+    cancelling = [
+        QSymElement("L", {(2,): 1, (1, 1): -1}),
+        QSymElement("N", {(2,): half, (1, 1): half}),
+        QSymElement("N", {(1, 2): half, (2, 1): -half, (3,): Fraction(3, 2)}),
+    ]
+    assert qsym.convert(cancelling[0], "M").terms == {(2,): 1}
+    rng = random.Random(61)
+    samples = cancelling + [
+        random_element(rng, rng.choice("MLN"), max_degree=5, integral=(i % 2 == 0))
+        for i in range(30)
+    ]
+    for q in samples:
+        for target in "MLN":
+            assert_normalized(qsym.convert(q, target))
+        assert_normalized(q + q.scale(-1))
+        assert_normalized(-q)
+        n_q = qsym.convert(q, "N")
+        assert_normalized(qsym.nbasis_product(n_q, -n_q))
+        for other in samples[:6]:
+            assert_normalized(qsym.mul(q, other))
+            assert_normalized(q - other)
+            assert_normalized(qsym.nbasis_product(n_q, qsym.convert(other, "N")))
+        for s in (1, 2):
+            product = qsym.nbasis_product(QSymElement.single("N", (s,)), n_q)
+            for part in n_q.degrees():
+                homogeneous = QSymElement(
+                    "N",
+                    {c: v for c, v in product.terms.items() if comp.weight(c) == part + s},
+                )
+                assert_normalized(qsym.divide_by_pure_power(homogeneous, s))
+    for alpha in comp.compositions(4):
+        for beta in comp.compositions(3):
+            assert_normalized(qsym.mul_nbasis(alpha, beta))
+
+
 def test_integer_l_expansion_has_integer_n_expansion():
     rng = random.Random(23)
     for _ in range(40):
