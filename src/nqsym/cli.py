@@ -4,6 +4,9 @@ All commands read JSON payloads from stdin where noted and write compact
 JSON to stdout; identical input and flags give byte-identical output.
 The --pretty flag switches to human-readable term lists with digit-string
 composition notation when all parts are single digits.
+
+Only the modules every subcommand needs are imported here; `matroids` and
+`verify` are imported by the subcommands that use them.
 """
 
 import argparse
@@ -18,21 +21,14 @@ from .compositions import (
 )
 from .elements import QSymElement, format_element
 from .errors import NQSymError, ResourceLimitError, ValidationError
-from .matroids import (
-    Matroid,
-    geom_decompose,
-    loops_coloops_from_qsym,
-    qsym_of_matroid,
-    recover_rank2,
-    split,
-)
 from .qsym import convert, in_Vnr, n_basis_element
-from . import verify as verify_mod
 
 
-def _emit(payload, pretty_text=None, pretty=False):
-    if pretty and pretty_text is not None:
-        print(pretty_text)
+def _emit(args, payload, pretty_text):
+    """Print payload as compact JSON, or under --pretty the text built by
+    the zero-argument callable pretty_text."""
+    if args.pretty:
+        print(pretty_text())
     else:
         print(json.dumps(payload, sort_keys=True))
 
@@ -54,18 +50,22 @@ def cmd_expand(args):
         "L": in_l.to_json(),
         "M": in_m.to_json(),
     }
-    pretty = (
-        f"N[{format_composition(comp)}] = {format_element(in_l)}\n"
-        f"{' ' * (len(format_composition(comp)) + 3)}= {format_element(in_m)}"
-    )
-    _emit(payload, pretty, args.pretty)
+
+    def pretty():
+        label = format_composition(comp)
+        return (
+            f"N[{label}] = {format_element(in_l)}\n"
+            f"{' ' * (len(label) + 3)}= {format_element(in_m)}"
+        )
+
+    _emit(args, payload, pretty)
     return 0
 
 
 def cmd_convert(args):
     element = QSymElement.from_json(_read_json_stdin())
     result = convert(element, args.basis)
-    _emit(result.to_json(), format_element(result), args.pretty)
+    _emit(args, result.to_json(), lambda: format_element(result))
     return 0
 
 
@@ -80,11 +80,13 @@ def cmd_mul(args):
     for factor in factors[1:]:
         product = product * factor
     result = convert(product, args.basis)
-    _emit(result.to_json(), format_element(result), args.pretty)
+    _emit(args, result.to_json(), lambda: format_element(result))
     return 0
 
 
 def cmd_matroid_f(args):
+    from .matroids import Matroid, loops_coloops_from_qsym, qsym_of_matroid
+
     matroid = Matroid.from_json(_read_json_stdin())
     f = qsym_of_matroid(matroid, limit=args.max_n)
     result = convert(f, args.basis)
@@ -103,36 +105,50 @@ def cmd_matroid_f(args):
         "loops_plus_coloops": loops_coloops_from_qsym(f),
     }
     payload = {"element": result.to_json(), "stats": stats}
-    pretty = f"F = {format_element(result)}\nstats: {json.dumps(stats, sort_keys=True)}"
-    _emit(payload, pretty, args.pretty)
+    _emit(
+        args,
+        payload,
+        lambda: f"F = {format_element(result)}\nstats: {json.dumps(stats, sort_keys=True)}",
+    )
     return 0
 
 
 def cmd_recover(args):
+    from .matroids import recover_rank2
+
     element = QSymElement.from_json(_read_json_stdin())
     recovery = recover_rank2(element)
-    payload = recovery.to_json()
-    pretty = (
-        f"n={recovery.n} loops={recovery.loops} coloops={recovery.coloops} "
-        f"lambda={format_composition(recovery.lam)} case={recovery.case}"
+    _emit(
+        args,
+        recovery.to_json(),
+        lambda: (
+            f"n={recovery.n} loops={recovery.loops} coloops={recovery.coloops} "
+            f"lambda={format_composition(recovery.lam)} case={recovery.case}"
+        ),
     )
-    _emit(payload, pretty, args.pretty)
     return 0
 
 
 def cmd_rank2_split(args):
+    from .matroids import split
+
     lam = parse_composition_text(args.lam)
     result = split(lam, args.s)
-    pretty = (
-        f"alpha={format_composition(result.alpha)} "
-        f"beta={format_composition(result.beta)} "
-        f"mu={format_composition(result.mu)} S={sorted(result.certificate.subset)}"
+    _emit(
+        args,
+        result.to_json(),
+        lambda: (
+            f"alpha={format_composition(result.alpha)} "
+            f"beta={format_composition(result.beta)} "
+            f"mu={format_composition(result.mu)} S={sorted(result.certificate.subset)}"
+        ),
     )
-    _emit(result.to_json(), pretty, args.pretty)
     return 0
 
 
 def cmd_geom_decompose(args):
+    from .matroids import geom_decompose
+
     data = _read_json_stdin()
     if not isinstance(data, dict) or "lambda" not in data or "J" not in data:
         raise ValidationError("geom-decompose expects {'lambda': [...], 'J': [[...], ...]}")
@@ -141,17 +157,22 @@ def cmd_geom_decompose(args):
         raise ValidationError("geom-decompose 'J' must be an array of compositions")
     members = [composition_from_json(m) for m in data["J"]]
     decomposition = geom_decompose(lam, members)
-    payload = decomposition.to_json()
-    lines = [f"root lambda={format_composition(lam)} verified={decomposition.verified}"]
-    for rep in decomposition.representatives:
-        blocks = " ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in rep.blocks)
-        lines.append(f"  part lambda={format_composition(rep.lam)} blocks {blocks}")
-    _emit(payload, "\n".join(lines), args.pretty)
+
+    def pretty():
+        lines = [f"root lambda={format_composition(lam)} verified={decomposition.verified}"]
+        for rep in decomposition.representatives:
+            blocks = " ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in rep.blocks)
+            lines.append(f"  part lambda={format_composition(rep.lam)} blocks {blocks}")
+        return "\n".join(lines)
+
+    _emit(args, decomposition.to_json(), pretty)
     return 0
 
 
 def cmd_verify(args):
-    report = verify_mod.run_all(max_n=args.max_n, seed=args.seed)
+    from .verify import run_all
+
+    report = run_all(max_n=args.max_n, seed=args.seed)
     if args.report:
         with open(args.report, "w") as handle:
             json.dump(report, handle, sort_keys=True, indent=2)

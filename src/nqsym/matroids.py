@@ -7,7 +7,7 @@ Ground sets are always [n] = {1, ..., n}; bases are stored as frozensets and
 as bitmasks (bit i-1 for element i) for the hot loops.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -88,6 +88,33 @@ def exchange_valid(n, base_masks):
                     met |= holders[fbit]
             if met != everyone:
                 return False
+    return True
+
+
+def _deletion_keeps_exchange(n, trial, removed):
+    """Whether trial = F - {removed} is exchange-valid, F being an
+    exchange-valid family on [n].
+
+    Deleting removed drops f from X(b1, e) (see exchange_valid) only when
+    b1 - e + f == removed, that is when b1 ^ removed == {e, f} with e in b1.
+    Every other X(b1, e) is the same in F and in trial, and the smaller
+    family still meets it.  So only X(b1, b1 - removed) is checked again,
+    for each basis b1 adjacent to removed.
+    """
+    for b1 in trial:
+        if (b1 ^ removed).bit_count() != 2:
+            continue
+        e = b1 & ~removed
+        rest = b1 ^ e
+        x = e
+        f = ((1 << n) - 1) & ~b1
+        while f:
+            fbit = f & -f
+            f ^= fbit
+            if (rest | fbit) in trial:
+                x |= fbit
+        if not all(b & x for b in trial):
+            return False
     return True
 
 
@@ -523,13 +550,11 @@ def rank2_from_partition(lam):
     return rank2_matroid_from_blocks(_interval_blocks(lam))
 
 
-@dataclass(frozen=True)
-class RankTwoClass:
+class RankTwoClass(namedtuple("RankTwoClass", "lam blocks", defaults=(None,))):
     """A loopless rank-two isomorphism class, optionally with a concrete
     block assignment on [n] (blocks sorted by size, largest first)."""
 
-    lam: tuple
-    blocks: tuple = None
+    __slots__ = ()
 
     @classmethod
     def from_blocks(cls, blocks):
@@ -553,19 +578,16 @@ class RankTwoClass:
         return out
 
 
-@dataclass(frozen=True)
-class SplitCertificate:
-    """A hyperplane split record: the subset S with the two halfspace sides.
+class SplitCertificate(namedtuple("SplitCertificate", "subset parent child_le child_ge")):
+    """A hyperplane split record: the subset S (a frozenset) with the
+    parent class and the two halfspace sides (RankTwoClass records).
 
     child_le collects the parent bases B with |B & S| <= 1 and child_ge
     those with |B & S| >= 1; their common bases are exactly the equality
     set |B & S| == 1.
     """
 
-    subset: frozenset
-    parent: RankTwoClass
-    child_le: RankTwoClass
-    child_ge: RankTwoClass
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -575,12 +597,8 @@ class SplitCertificate:
         }
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    alpha: tuple
-    beta: tuple
-    mu: tuple
-    certificate: SplitCertificate
+class SplitResult(namedtuple("SplitResult", "alpha beta mu certificate")):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -694,8 +712,9 @@ def ubar_coordinates_of_partition(lam):
     return coords
 
 
-@dataclass(frozen=True)
-class RankTwoRecovery:
+class RankTwoRecovery(
+    namedtuple("RankTwoRecovery", "n loops coloops lam case", defaults=("no-coloops",))
+):
     """Result of reading a rank-two matroid back off its invariant.
 
     lam is the partition indexing the loopless part (a partition of
@@ -703,11 +722,7 @@ class RankTwoRecovery:
     coloop count is determined by lam's singleton parts.
     """
 
-    n: int
-    loops: int
-    coloops: int
-    lam: tuple
-    case: str = "no-coloops"
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -803,12 +818,10 @@ def recover_rank2_modm2(coords, n):
 # geometric decompositions of rank-two base polytopes
 
 
-@dataclass(frozen=True)
-class GeomDecomposition:
-    root: RankTwoClass
-    representatives: tuple
-    splits: tuple
-    verified: bool
+class GeomDecomposition(
+    namedtuple("GeomDecomposition", "root representatives splits verified")
+):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -1070,7 +1083,8 @@ def sample_loopless_matroid(rng, n, max_deletions=None):
 
     Starts from a uniform matroid of random positive rank and deletes random
     bases one at a time, keeping a deletion only if the family stays
-    exchange-valid and loopless.
+    exchange-valid (checked incrementally, see _deletion_keeps_exchange)
+    and loopless.
     """
     if n < 1:
         raise ValidationError("sampling needs n >= 1")
@@ -1093,7 +1107,7 @@ def sample_loopless_matroid(rng, n, max_deletions=None):
             union |= m
         if union != full:
             continue
-        if exchange_valid(n, trial):
+        if _deletion_keeps_exchange(n, trial, candidate):
             current = trial
             deleted += 1
     return Matroid.from_masks(n, current)

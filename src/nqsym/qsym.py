@@ -16,7 +16,7 @@ block with binomial weights, so the product poset and its induced ordered
 partitions are never built; they remain in posets as the oracle.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
@@ -279,8 +279,7 @@ def _expand_termwise(element, table, target):
 # transition matrices
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(namedtuple("TransitionMatrix", "n source target order rows")):
     """Dense change-of-basis data for one degree.
 
     rows[i][j] is the coefficient of target basis element order[j] in the
@@ -288,11 +287,7 @@ class TransitionMatrix:
     compositions in binary word order.
     """
 
-    n: int
-    source: str
-    target: str
-    order: tuple
-    rows: tuple
+    __slots__ = ()
 
     def entry(self, source_comp, target_comp):
         idx = {c: i for i, c in enumerate(self.order)}

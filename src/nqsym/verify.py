@@ -9,7 +9,7 @@ seeded and all arithmetic exact, so reports are byte-stable.
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 
 from . import matroids as mat
@@ -46,13 +46,8 @@ from .matroids import (
 )
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    description: str
-    passed: bool
-    elapsed: float
-    details: dict = field(default_factory=dict)
+class CheckResult(namedtuple("CheckResult", "check_id description passed elapsed details")):
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
+from nqsym import cli
 from nqsym.cli import main
+from nqsym.matroids import rank2_qsym
 
 
 def run_cli(args, stdin_text="", capsys=None):
@@ -288,3 +292,54 @@ def test_verify_rejects_max_n_below_two(capsys):
         code, out = run_cli(["verify", "--max-n", max_n], capsys=capsys)
         assert_validation_error(code, out)
         assert "max_n >= 2" in json.loads(out)["error"]["message"]
+
+
+def _loaded_after(*modules):
+    """The nqsym submodules and dataclasses loaded, in a fresh interpreter,
+    after importing the given modules in order."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "".join(f"import {m}\n" for m in modules) + (
+        "import json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'dataclasses' or m.startswith('nqsym.'))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_import_graph():
+    assert _loaded_after("nqsym") == []
+    loaded = _loaded_after("nqsym.cli")
+    assert "nqsym.cli" in loaded
+    for module in ("nqsym.matroids", "nqsym.posets", "nqsym.verify", "dataclasses"):
+        assert module not in loaded
+    loaded = _loaded_after("nqsym.matroids", "nqsym.verify")
+    assert "nqsym.verify" in loaded and "dataclasses" not in loaded
+
+
+def test_plain_output_builds_no_pretty_text(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pretty text built without --pretty")
+
+    monkeypatch.setattr(cli, "format_element", refuse)
+    monkeypatch.setattr(cli, "format_composition", refuse)
+    element = {"basis": "N", "terms": [{"comp": [2, 1], "num": 1, "den": 1}]}
+    matroid = {"n": 4, "bases": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}
+    requests = [
+        (["expand", "--comp", "1,2,2"], ""),
+        (["convert", "--to", "M"], json.dumps(element)),
+        (["mul", "--basis", "L"], json.dumps([element, element])),
+        (["matroid-f"], json.dumps(matroid)),
+        (["recover"], json.dumps(rank2_qsym((3, 2, 1)).to_json())),
+        (["rank2-split", "--lambda", "2,2,1", "--s", "1"], ""),
+        (["geom-decompose"], json.dumps({"lambda": [2, 1, 1, 1], "J": [[2, 2, 1], [3, 1, 1]]})),
+    ]
+    for argv, stdin_text in requests:
+        code, out = run_cli(argv, stdin_text, capsys)
+        assert code == 0, argv
+        json.loads(out)

@@ -249,6 +249,43 @@ def test_exchange_valid_matches_pairwise_oracle_on_random_families():
     assert min(verdicts.values()) >= 50, verdicts
 
 
+def _sampler_walk(rng, n):
+    """The families sample_loopless_matroid passes through, each deletion
+    checked against the whole family by exchange_valid."""
+    r = rng.randint(1, max(1, n - 1)) if n > 1 else 1
+    masks = Matroid.uniform(r, n)._masks
+    goal = rng.randint(0, len(masks) - 1)
+    order = list(masks)
+    rng.shuffle(order)
+    walk = [set(masks)]
+    for candidate in order:
+        if len(walk) - 1 >= goal or len(walk[-1]) == 1:
+            break
+        trial = walk[-1] - {candidate}
+        union = 0
+        for b in trial:
+            union |= b
+        if union == (1 << n) - 1 and mat.exchange_valid(n, trial):
+            walk.append(trial)
+    return walk
+
+
+def test_incremental_deletion_check_matches_exchange_valid():
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 7):
+        for seed in range(20):
+            walk = _sampler_walk(random.Random(seed), n)
+            sampled = mat.sample_loopless_matroid(random.Random(seed), n)
+            assert sampled == Matroid.from_masks(n, walk[-1]), (n, seed)
+            for family in walk:
+                for removed in family if len(family) > 1 else ():
+                    trial = family - {removed}
+                    verdict = mat.exchange_valid(n, trial)
+                    assert mat._deletion_keeps_exchange(n, trial, removed) == verdict, (n, seed)
+                    verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
 def test_fast_path_matches_extensions_on_every_small_matroid():
     for m in _labelled_matroids(5):
         assert mat.qsym_of_matroid(m) == mat.qsym_of_matroid(m, method="extensions"), m
