@@ -143,8 +143,16 @@ def binary_word_cmp(a, b):
 
 
 def term_order_key(comp):
-    """Canonical global sort key: by weight, then binary word order."""
-    return (weight(comp), binary_word(comp))
+    """Canonical global sort key: by weight, then binary word order.
+
+    At equal weight the binary words compare as the parts with the
+    even-indexed ones negated, (-c0, c1, -c2, ...): a longer run of zeros
+    makes the word smaller and a longer run of ones makes it larger, so no
+    word is built.
+    """
+    key = [-p for p in comp]
+    key[1::2] = comp[1::2]
+    return (sum(comp), tuple(key))
 
 
 def triangular_order_key(comp):

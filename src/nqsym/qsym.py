@@ -7,8 +7,11 @@ every block boundary is always a descent or always an ascent, so the N to L
 and N to M expansions are closed forms: each coefficient is a sum of
 products of per-block counts (permutations by run composition for L,
 ordered set partitions by type for M), and no word or P-partition is
-listed.  Every other conversion routes through the fundamental basis; L to
-N is a unitriangular back substitution.
+listed.  Every other conversion routes through the fundamental basis.  L to
+N is one integer peel per degree: the N to L matrix is integer unitriangular
+once its columns are keyed by ascent runs, so after scaling by a common
+denominator the rows of a pivot table, stored in triangular order, are
+subtracted in ints.
 
 Products are taken in the monomial basis by quasi-shuffles, or directly in
 the N basis through its structure constants.  Those are counted block by
@@ -17,9 +20,10 @@ partitions are never built; they remain in posets as the oracle.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb, factorial
+from itertools import accumulate, combinations
+from math import comb, factorial, lcm
 
 from .compositions import (
     as_composition,
@@ -27,6 +31,7 @@ from .compositions import (
     composition_to_subset,
     compositions,
     rank,
+    rho_to_runs,
     runs_to_rho,
     subset_to_composition,
     term_order_key,
@@ -88,23 +93,24 @@ def _descent_classes(a):
 
     Built letter by letter: a word's state is its run composition and the
     relative rank j of its last letter.  Appending a letter of relative rank
-    i among a + 1 letters continues the last run when i > j (an ascent) and
-    opens a new run of length 1 otherwise (a descent).
+    i among k + 1 letters continues the last run when i > j (an ascent) and
+    opens a new run of length 1 otherwise (a descent).  Each run composition
+    keeps one vector of counts indexed by j, so the ascent successor's
+    vector is the prefix sums of it and the descent successor's the suffix
+    sums.  Distinct compositions have distinct successors (an ascent one
+    ends in a part >= 2, a descent one in a 1), so nothing is merged.
     """
-    states = {((1,), 0): 1}
-    for k in range(1, a):
+    states = {(1,): [1]}
+    for _ in range(1, a):
         nxt = {}
-        for (comp, j), count in states.items():
-            up = comp[:-1] + (comp[-1] + 1,)
-            down = comp + (1,)
-            for i in range(k + 1):
-                key = (up, i) if i > j else (down, i)
-                nxt[key] = nxt.get(key, 0) + count
+        for comp, by_rank in states.items():
+            nxt[comp[:-1] + (comp[-1] + 1,)] = [0, *accumulate(by_rank)]
+            suffix = [*accumulate(reversed(by_rank))]
+            suffix.reverse()
+            suffix.append(0)
+            nxt[comp + (1,)] = suffix
         states = nxt
-    counts = {}
-    for (comp, _), count in states.items():
-        counts[comp] = counts.get(comp, 0) + count
-    return tuple(counts.items())
+    return tuple((comp, sum(by_rank)) for comp, by_rank in states.items())
 
 
 @lru_cache(maxsize=None)
@@ -197,39 +203,48 @@ def nbasis_in_monomial(comp):
 
 @lru_cache(maxsize=None)
 def nl_ascent_run_rows(n):
-    """Rows of the N to L expansion at degree n, columns keyed by ascent-run
-    compositions instead of run compositions.
+    """The N to L pivot table at degree n, rows already in triangular order.
 
-    The two keyings are related by the bijection between a word's increasing
-    runs and the run lengths of its ascent word.  Under this keying the
-    matrix has unit diagonal, and sorting rows and columns by
-    triangular_order_key makes it upper unitriangular.
+    Row alpha (an ascent-run composition, rows sorted by
+    triangular_order_key) is stored as (alpha, pivot, terms): pivot is
+    rho_to_runs(alpha), the run composition whose ascent word has run
+    lengths alpha, and terms is nbasis_in_fundamental(alpha), shared with
+    that table.  Keyed by ascent-run compositions the N to L matrix has unit
+    diagonal and is upper unitriangular in this order, so each row has
+    coefficient 1 on its pivot and no later row has that term.
     """
-    rows = {}
-    for alpha in compositions(n):
-        if not alpha:
-            continue
-        rows[alpha] = {
-            runs_to_rho(c): v for c, v in nbasis_in_fundamental(alpha)
-        }
-    return rows
+    return tuple(
+        (alpha, rho_to_runs(alpha), nbasis_in_fundamental(alpha))
+        for alpha in sorted(compositions(n), key=triangular_order_key)
+    )
 
 
 def _fundamental_to_nbasis_degree(terms, n):
-    """Back substitution for one homogeneous degree; terms maps runs comps."""
-    rows = nl_ascent_run_rows(n)
-    residual = {runs_to_rho(c): v for c, v in terms.items()}
-    order = sorted(rows, key=triangular_order_key)
+    """L to N for one homogeneous degree n >= 1, by an integer peel.
+
+    terms maps run compositions of weight n to coefficients.  They are
+    scaled by the lcm D of their denominators, and the rows of the pivot
+    table are peeled in order: the residual's coefficient on a row's pivot
+    is that row's N coefficient (times D), and the row is subtracted.  Every
+    step stays in ints; each output coefficient is divided by D once, and
+    QSymElement._trusted normalises the quotients.
+    """
+    denom = lcm(*(v.denominator for v in terms.values()))
+    residual = {c: v.numerator * (denom // v.denominator) for c, v in terms.items()}
     out = {}
-    for alpha in order:
-        coeff = residual.get(alpha, 0)
+    for alpha, pivot, row in nl_ascent_run_rows(n):
+        if not residual:
+            break
+        coeff = residual.get(pivot)
         if not coeff:
             continue
-        out[alpha] = coeff
-        for delta, count in rows[alpha].items():
-            residual[delta] = residual.get(delta, 0) - coeff * count
-            if not residual[delta]:
-                del residual[delta]
+        out[alpha] = Fraction(coeff, denom)
+        for c, count in row:
+            value = residual.get(c, 0) - coeff * count
+            if value:
+                residual[c] = value
+            else:
+                del residual[c]
     if residual:
         raise AssertionError("triangular solve left a nonzero residual")
     return out
@@ -320,15 +335,20 @@ def ordered_compositions(n):
 def nl_unitriangular_matrix(n, triangular=True):
     """The ascent-run keyed N to L matrix at degree n as (order, rows).
 
-    With triangular=True rows and columns are sorted by triangular_order_key
-    and the matrix is integer upper unitriangular; otherwise binary word
-    order is used (unit diagonal either way).
+    With triangular=True rows and columns are in the pivot table's
+    triangular order and the matrix is integer upper unitriangular;
+    otherwise binary word order is used (unit diagonal either way).
     """
-    key = triangular_order_key if triangular else binary_word
-    order = tuple(sorted((c for c in compositions(n) if c), key=key))
     table = nl_ascent_run_rows(n)
+    by_alpha = {
+        alpha: {runs_to_rho(c): v for c, v in row} for alpha, _, row in table
+    }
+    if triangular:
+        order = tuple(alpha for alpha, _, _ in table)
+    else:
+        order = tuple(sorted(by_alpha, key=binary_word))
     rows = tuple(
-        tuple(table[alpha].get(delta, 0) for delta in order) for alpha in order
+        tuple(by_alpha[alpha].get(delta, 0) for delta in order) for alpha in order
     )
     return order, rows
 

@@ -13,9 +13,10 @@ def _eliminate(mat, k):
     """Gauss-Jordan elimination of the first k columns of mat, in place.
 
     Each pivot row is scaled to a leading 1 and its column is cleared in
-    every other row.  Returns the pivot columns and the product of the
-    pivots, negated once per row swap; for a square matrix of full rank that
-    product is the determinant.
+    every other row, touching only the pivot row's nonzero entries.
+    Returns the pivot columns and the product of the pivots, negated once
+    per row swap; for a square matrix of full rank that product is the
+    determinant.
     """
     m = len(mat)
     pivots = []
@@ -32,11 +33,14 @@ def _eliminate(mat, k):
             product = -product
         pv = mat[row][col]
         product *= pv
-        mat[row] = [x / pv for x in mat[row]]
+        pivot_row = mat[row] = [x / pv for x in mat[row]]
+        support = [j for j, x in enumerate(pivot_row) if x]
         for r in range(m):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+            factor = mat[r][col]
+            if r != row and factor:
+                target = mat[r]
+                for j in support:
+                    target[j] -= factor * pivot_row[j]
         pivots.append(col)
     return pivots, product
 
@@ -47,19 +51,32 @@ def solve_columns(columns, target):
     Returns a list of Fractions or None when the system is inconsistent.
     Free variables, if any, are set to zero.
     """
-    m = len(target)
+    return solve_columns_many(columns, [target])[0]
+
+
+def solve_columns_many(columns, targets):
+    """solve_columns for several targets at once: one elimination of the
+    columns augmented with every target, one solution (or None) per target."""
+    m = len(targets[0])
     k = len(columns)
-    for col in columns:
+    for col in (*columns, *targets):
         if len(col) != m:
             raise ValueError("column length mismatch")
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
+    aug = [
+        [Fraction(col[i]) for col in columns] + [Fraction(t[i]) for t in targets]
+        for i in range(m)
+    ]
     pivots, _ = _eliminate(aug, k)
-    if any(aug[r][k] for r in range(len(pivots), m)):
-        return None
-    solution = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][k]
-    return solution
+    solutions = []
+    for t in range(k, k + len(targets)):
+        if any(aug[r][t] for r in range(len(pivots), m)):
+            solutions.append(None)
+            continue
+        solution = [Fraction(0)] * k
+        for r, col in enumerate(pivots):
+            solution[col] = aug[r][t]
+        solutions.append(solution)
+    return solutions
 
 
 def matrix_rank(rows):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -116,6 +117,15 @@ def test_binary_word_order_total_on_fixed_weight():
             assert ab == -ba
             if ab == 0:
                 assert a == b
+
+
+def test_term_order_key_is_weight_then_binary_word():
+    pooled = [c for n in range(12) for c in comp.compositions(n)]
+    random.Random(5).shuffle(pooled)
+    keys = {comp.term_order_key(c) for c in pooled}
+    assert len(keys) == len(pooled) == 2 ** 11
+    expected = sorted(pooled, key=lambda c: (comp.weight(c), comp.binary_word(c)))
+    assert sorted(pooled, key=comp.term_order_key) == expected
 
 
 def test_triangular_order_extends_refinement_but_binary_word_does_not():

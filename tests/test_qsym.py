@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -124,7 +126,7 @@ def test_descent_classes_match_multinomial_route():
 def test_descent_classes_count_every_permutation():
     from math import factorial
 
-    for a in range(1, 13):
+    for a in range(1, 14):
         classes = qsym._descent_classes(a)
         assert sum(count for _, count in classes) == factorial(a)
         assert all(comp.weight(c) == a and count > 0 for c, count in classes)
@@ -210,6 +212,87 @@ def test_convert_mixed_degree_with_scalar_part():
     n = qsym.convert(q, "N")
     assert n.coefficient(()) == 2
     assert qsym.convert(n, "L") == q
+
+
+DENOMINATORS = (1, 2, 3, 4, 5, 7)
+
+
+def _fractional_terms(rng, n, count):
+    comps = list(comp.compositions(n))
+    return [
+        (rng.choice(comps), Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice(DENOMINATORS)))
+        for _ in range(count)
+    ]
+
+
+def sparse_fractional_elements(count=200, seed=71):
+    """Seeded sparse M and L elements of degrees 1-9 with mixed denominators.
+    Every fifth one has a term that cancels and a term whose thirds sum to
+    an integer; every seventh also has terms of a second degree and a ()
+    term."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(1, 9)
+        pairs = _fractional_terms(rng, n, rng.randint(1, 4))
+        if i % 5 == 0:
+            cancelled, coeff = pairs[0]
+            thirds = rng.choice(list(comp.compositions(n)))
+            pairs += [(cancelled, -coeff), (thirds, Fraction(1, 3)), (thirds, Fraction(2, 3))]
+        if i % 7 == 0:
+            pairs += _fractional_terms(rng, rng.randint(1, 9), 2)
+            pairs.append(((), Fraction(rng.randint(1, 5), rng.choice(DENOMINATORS))))
+        out.append(QSymElement(rng.choice("ML"), pairs))
+    return out
+
+
+def nbasis_by_gauss_jordan(elements):
+    """Oracle: N coefficients solved degree by degree from the dense N to L
+    system in binary word order, by one Gauss-Jordan elimination per degree
+    with the L vector of every element as a target."""
+    in_l = [qsym.convert(q, "L") for q in elements]
+    solved = [{(): q.terms[()]} if () in q.terms else {} for q in in_l]
+    for n in sorted({comp.weight(c) for q in in_l for c in q.terms} - {0}):
+        order = qsym.ordered_compositions(n)
+        index = {c: i for i, c in enumerate(order)}
+        columns = []
+        for alpha in order:
+            column = [0] * len(order)
+            for c, v in qsym.nbasis_in_fundamental(alpha):
+                column[index[c]] = v
+            columns.append(column)
+        which = [i for i, q in enumerate(in_l) if any(comp.weight(c) == n for c in q.terms)]
+        targets = [[in_l[i].terms.get(c, 0) for c in order] for i in which]
+        for i, solution in zip(which, linalg.solve_columns_many(columns, targets)):
+            solved[i].update((alpha, x) for alpha, x in zip(order, solution) if x)
+    return [QSymElement("N", terms) for terms in solved]
+
+
+def test_integer_solve_matches_gauss_jordan(monkeypatch):
+    elements = sparse_fractional_elements()
+    assert sum(not q.is_integral() for q in elements) >= 150
+    assert sum(len(q.degrees()) > 1 and () in q.terms for q in elements) >= 20
+    oracle = nbasis_by_gauss_jordan(elements)
+    divisions = []
+
+    def fraction(numerator, denominator):
+        divisions.append(denominator)
+        return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(qsym, "Fraction", fraction)
+    for q, expected in zip(elements, oracle):
+        divisions.clear()
+        in_n = qsym.convert(q, "N")
+        assert in_n == expected
+        assert_normalized(in_n)
+        # one division per output term, by the lcm of its degree's denominators
+        in_l = qsym.convert(q, "L")
+        scale = {
+            n: lcm(*(v.denominator for c, v in in_l.terms.items() if comp.weight(c) == n))
+            for n in in_l.degrees()
+        }
+        assert sorted(divisions) == sorted(scale[comp.weight(c)] for c in in_n.terms if c)
+        assert qsym.convert(in_n, q.basis) == q
 
 
 def test_transition_matrix_n2():
@@ -548,16 +631,29 @@ def test_shared_caches_are_thread_safe():
     # conversions must agree with the serial result
     import threading
 
-    q = QSymElement("L", {c: 1 for c in comp.compositions(6)})
+    q = QSymElement("M", {c: Fraction(1, len(c) + 1) for n in range(8) for c in comp.compositions(n)})
     expected = qsym.convert(q, "N")
-    for table in (qsym.nl_ascent_run_rows, qsym.nbasis_in_fundamental, qsym._descent_classes):
+    # every memo table that the M to N route reads
+    for table in (
+        qsym.refinements_of,
+        qsym._monomial_in_fundamental,
+        qsym.nl_ascent_run_rows,
+        qsym.nbasis_in_fundamental,
+        qsym._descent_classes,
+    ):
         table.cache_clear()
     results = [None] * 8
     def work(i):
         results[i] = qsym.convert(q, "N")
     threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
