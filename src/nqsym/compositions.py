@@ -10,6 +10,7 @@ Conventions used throughout the package:
 * a set partition is a frozenset of pairwise disjoint nonempty frozensets.
 """
 
+from functools import lru_cache
 from itertools import permutations as _permutations, product as _product
 
 from .errors import ValidationError
@@ -142,13 +143,15 @@ def binary_word_cmp(a, b):
     return (wa > wb) - (wa < wb)
 
 
+@lru_cache(maxsize=None)
 def term_order_key(comp):
     """Canonical global sort key: by weight, then binary word order.
 
     At equal weight the binary words compare as the parts with the
     even-indexed ones negated, (-c0, c1, -c2, ...): a longer run of zeros
     makes the word smaller and a longer run of ones makes it larger, so no
-    word is built.
+    word is built.  Keys never change, so they are memoised; comp must be
+    a tuple.
     """
     key = [-p for p in comp]
     key[1::2] = comp[1::2]

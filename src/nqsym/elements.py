@@ -41,10 +41,13 @@ def _normalized_terms(basis, terms, key):
     for k, coeff in items:
         k = key(k)
         coeff = _norm_coeff(coeff)
-        if coeff:
-            clean[k] = clean.get(k, 0) + coeff
-            if not clean[k]:
-                del clean[k]
+        if not coeff:
+            continue
+        total = clean[k] + coeff if k in clean else coeff
+        if total:
+            clean[k] = _norm_coeff(total)
+        else:
+            del clean[k]
     return clean
 
 
@@ -75,6 +78,25 @@ class QSymElement:
         Fractions become ints, but no key is revalidated."""
         self = object.__new__(cls)
         clean = {comp: _norm_coeff(coeff) for comp, coeff in terms.items() if coeff}
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "basis", basis)
+        return self
+
+    @classmethod
+    def _from_numerators(cls, basis, numerators, denom):
+        """Element with coefficients v / denom for the int numerators v of a
+        dict keyed by valid compositions, as the integer routes of qsym
+        produce; zeros are dropped and one Fraction is made per nonzero
+        term, an int when it is integral."""
+        self = object.__new__(cls)
+        if denom == 1:
+            clean = {comp: v for comp, v in numerators.items() if v}
+        else:
+            clean = {}
+            for comp, v in numerators.items():
+                if v:
+                    q = Fraction(v, denom)
+                    clean[comp] = q.numerator if q.denominator == 1 else q
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "basis", basis)
         return self
@@ -148,7 +170,8 @@ class QSymElement:
         return QSymElement._trusted(self.basis, {c: -v for c, v in self.terms.items()})
 
     def scale(self, scalar):
-        scalar = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
+        if not isinstance(scalar, (int, Fraction)):
+            raise ValidationError(f"scalars must be exact rationals, got {type(scalar)}")
         return QSymElement._trusted(
             self.basis, {c: v * scalar for c, v in self.terms.items()}
         )

@@ -2,16 +2,20 @@
 
 The N basis element of a composition is the poset generating function of the
 alternately labeled ordinal sum of antichains with those block sizes.  All
-coefficients are exact rationals.  Because the labeling alternates by block,
+coefficients are exact rationals, but every table here holds ints, so the
+conversions and products work on int numerators over one common
+denominator (the lcm of the input's denominators, or the product of the
+factors' for a product) and make Fractions only for the result, through
+QSymElement._from_numerators.  Because the labeling alternates by block,
 every block boundary is always a descent or always an ascent, so the N to L
 and N to M expansions are closed forms: each coefficient is a sum of
 products of per-block counts (permutations by run composition for L,
 ordered set partitions by type for M), and no word or P-partition is
 listed.  Every other conversion routes through the fundamental basis.  L to
 N is one integer peel per degree: the N to L matrix is integer unitriangular
-once its columns are keyed by ascent runs, so after scaling by a common
-denominator the rows of a pivot table, stored in triangular order, are
-subtracted in ints.
+once its columns are keyed by ascent runs, so the rows of a pivot table,
+stored in triangular order, are subtracted from the degree's numerators in
+ints.
 
 Products are taken in the monomial basis by quasi-shuffles, or directly in
 the N basis through its structure constants.  Those are counted block by
@@ -22,18 +26,16 @@ partitions are never built; they remain in posets as the oracle.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
-from math import comb, factorial, lcm
+from itertools import accumulate
+from math import comb, factorial, gcd, lcm
 
 from .compositions import (
     as_composition,
     binary_word,
-    composition_to_subset,
     compositions,
     rank,
     rho_to_runs,
     runs_to_rho,
-    subset_to_composition,
     term_order_key,
     triangular_order_key,
     weight,
@@ -58,15 +60,16 @@ def fundamental_element(comp, coeff=1):
 
 @lru_cache(maxsize=None)
 def refinements_of(comp):
-    """All compositions refining comp, i.e. splitting its parts."""
+    """All compositions refining comp, i.e. splitting its parts.
+
+    A refinement splits each part independently, so the refinements are the
+    concatenations of one composition of each part, in canonical order.
+    """
     comp = as_composition(comp)
-    n = weight(comp)
-    base = composition_to_subset(comp)
-    free = [i for i in range(1, n) if i not in base]
-    out = []
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            out.append(subset_to_composition(base | set(extra), n))
+    out = [()]
+    for part in comp:
+        pieces = ordered_compositions(part)
+        out = [head + piece for head in out for piece in pieces]
     return tuple(sorted(out, key=term_order_key))
 
 
@@ -219,18 +222,15 @@ def nl_ascent_run_rows(n):
     )
 
 
-def _fundamental_to_nbasis_degree(terms, n):
+def _peel_degree(residual, n, denom):
     """L to N for one homogeneous degree n >= 1, by an integer peel.
 
-    terms maps run compositions of weight n to coefficients.  They are
-    scaled by the lcm D of their denominators, and the rows of the pivot
-    table are peeled in order: the residual's coefficient on a row's pivot
-    is that row's N coefficient (times D), and the row is subtracted.  Every
-    step stays in ints; each output coefficient is divided by D once, and
-    QSymElement._trusted normalises the quotients.
+    residual maps run compositions of weight n to int numerators over
+    denom, and is consumed.  The rows of the pivot table are peeled in
+    order: the residual's numerator on a row's pivot is that row's N
+    numerator, and the row is subtracted.  Every step stays in ints, and
+    each output coefficient is divided by denom once.
     """
-    denom = lcm(*(v.denominator for v in terms.values()))
-    residual = {c: v.numerator * (denom // v.denominator) for c, v in terms.items()}
     out = {}
     for alpha, pivot, row in nl_ascent_run_rows(n):
         if not residual:
@@ -253,6 +253,60 @@ def _fundamental_to_nbasis_degree(terms, n):
 # ---------------------------------------------------------------------------
 # conversion
 
+# the integer expansion tables of the conversions made term by term
+_TERMWISE = {
+    ("M", "L"): _monomial_in_fundamental,
+    ("L", "M"): _fundamental_in_monomial,
+    ("N", "L"): nbasis_in_fundamental,
+    ("N", "M"): nbasis_in_monomial,
+}
+
+
+def _scaled(element):
+    """The element's terms as (D, {comp: int numerator}) over the lcm D of
+    their denominators.  An integral element is returned as (1, its own
+    terms), which the caller must not modify."""
+    terms = element.terms
+    denom = lcm(*(v.denominator for v in terms.values()))
+    if denom == 1:
+        return 1, terms
+    return denom, {c: v.numerator * (denom // v.denominator) for c, v in terms.items()}
+
+
+def _numerators_in(element, target):
+    """The element in basis target ('M' or 'L') as (D, {comp: int
+    numerator}), expanded term by term through the integer tables."""
+    denom, scaled = _scaled(element)
+    if element.basis == target:
+        return denom, scaled
+    table = _TERMWISE[element.basis, target]
+    out = {}
+    for comp, coeff in scaled.items():
+        for beta, factor in table(comp):
+            out[beta] = out.get(beta, 0) + coeff * factor
+    return denom, out
+
+
+def _to_nbasis(element):
+    """An element in the N basis, from its L numerators over one
+    denominator D, peeled degree by degree.  Each degree is divided through
+    by g = gcd(D, its numerators), so it is peeled over D // g, the lcm of
+    its reduced L denominators.  The scalar part is the same in every basis
+    and passes through unchanged."""
+    denom, in_l = _numerators_in(element, "L")
+    by_degree = {}
+    for c, v in in_l.items():
+        if v and c:
+            by_degree.setdefault(weight(c), {})[c] = v
+    out = {}
+    if () in element.terms:
+        out[()] = element.terms[()]
+    for n, terms in by_degree.items():
+        g = gcd(denom, *terms.values())
+        residual = {c: v // g for c, v in terms.items()} if g > 1 else terms
+        out.update(_peel_degree(residual, n, denom // g))
+    return QSymElement._trusted("N", out)
+
 
 def convert(element, target):
     """Rewrite an element in another basis; the function is unchanged."""
@@ -260,34 +314,10 @@ def convert(element, target):
         raise ValidationError(f"unknown basis tag {target!r}")
     if element.basis == target:
         return element
-    if element.basis == "M" and target == "L":
-        return _expand_termwise(element, _monomial_in_fundamental, "L")
-    if element.basis == "L" and target == "M":
-        return _expand_termwise(element, _fundamental_in_monomial, "M")
-    if element.basis == "N" and target == "L":
-        return _expand_termwise(element, nbasis_in_fundamental, "L")
-    if element.basis == "N" and target == "M":
-        return _expand_termwise(element, nbasis_in_monomial, "M")
     if target == "N":
-        in_l = convert(element, "L")
-        out = {}
-        for n in in_l.degrees():
-            terms = {c: v for c, v in in_l.terms.items() if weight(c) == n}
-            if n == 0:
-                out[()] = out.get((), 0) + terms.get((), 0)
-                continue
-            for comp, coeff in _fundamental_to_nbasis_degree(terms, n).items():
-                out[comp] = out.get(comp, 0) + coeff
-        return QSymElement._trusted("N", out)
-    raise ValidationError(f"no conversion from {element.basis} to {target}")
-
-
-def _expand_termwise(element, table, target):
-    out = {}
-    for comp, coeff in element.terms.items():
-        for beta, factor in table(comp):
-            out[beta] = out.get(beta, 0) + coeff * factor
-    return QSymElement._trusted(target, out)
+        return _to_nbasis(element)
+    denom, numerators = _numerators_in(element, target)
+    return QSymElement._from_numerators(target, numerators, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +411,17 @@ def quasi_shuffle(left, right):
 
 def mul(q1, q2):
     """Ring product computed in the monomial basis via quasi-shuffles."""
-    m1, m2 = convert(q1, "M"), convert(q2, "M")
+    d1, m1 = _numerators_in(q1, "M")
+    d2, m2 = _numerators_in(q2, "M")
     out = {}
-    for gamma, cg in m1.terms.items():
-        for delta, cd in m2.terms.items():
+    for gamma, cg in m1.items():
+        for delta, cd in m2.items():
             scale = cg * cd
+            if not scale:
+                continue
             for comp, k in quasi_shuffle(gamma, delta):
                 out[comp] = out.get(comp, 0) + scale * k
-    return QSymElement._trusted("M", out)
+    return QSymElement._from_numerators("M", out, d1 * d2)
 
 
 @lru_cache(maxsize=None)
@@ -453,13 +486,15 @@ def nbasis_product(q1, q2):
     """Bilinear extension of mul_nbasis to N-basis elements."""
     if q1.basis != "N" or q2.basis != "N":
         raise ValidationError("nbasis_product expects N-basis elements")
+    d1, n1 = _scaled(q1)
+    d2, n2 = _scaled(q2)
     out = {}
-    for a, ca in q1.terms.items():
-        for b, cb in q2.terms.items():
+    for a, ca in n1.items():
+        for b, cb in n2.items():
             scale = ca * cb
             for comp, k in structure_constants(a, b):
                 out[comp] = out.get(comp, 0) + scale * k
-    return QSymElement._trusted("N", out)
+    return QSymElement._from_numerators("N", out, d1 * d2)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +568,8 @@ def divide_by_pure_power(element, s):
     n = q.degree()
     if n < s:
         raise NotDivisibleError(f"degree {n} is smaller than the divisor degree {s}")
-    residual = dict(q.terms)
+    denom, residual = _scaled(q)
+    residual = dict(residual)
     quotient = {}
     while residual:
         lead = max(residual, key=lambda c: c[0])
@@ -550,4 +586,4 @@ def divide_by_pure_power(element, s):
                 residual[comp] = value
             else:
                 del residual[comp]
-    return QSymElement._trusted("N", quotient)
+    return QSymElement._from_numerators("N", quotient, denom)

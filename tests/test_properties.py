@@ -1,0 +1,74 @@
+"""Property tests for the integer conversion and product routes.
+
+Every test runs under one fixed profile: derandomized, with no example
+database and no deadline, so the suite draws the same examples on every
+run and machine.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from _qsym_oracle import expand_termwise
+from nqsym import qsym
+from nqsym.elements import QSymElement
+
+FIXED = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+coefficients = st.builds(
+    Fraction, st.integers(-12, 12).filter(bool), st.sampled_from((1, 2, 3, 4, 6, 7))
+)
+
+
+def compositions_up_to(max_degree):
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.sampled_from(qsym.ordered_compositions(n))
+    )
+
+
+@st.composite
+def elements(draw, bases="MLN", max_degree=6, max_terms=5, scalar=True):
+    """A mixed-degree element with fractional coefficients, with or without
+    a scalar part."""
+    terms = draw(
+        st.lists(
+            st.tuples(compositions_up_to(max_degree), coefficients),
+            min_size=1,
+            max_size=max_terms,
+        )
+    )
+    if scalar:
+        terms.append(((), draw(coefficients)))
+    return QSymElement(draw(st.sampled_from(bases)), terms)
+
+
+@FIXED
+@given(elements())
+def test_convert_round_trips_through_every_basis(q):
+    for first in "MLN":
+        there = qsym.convert(q, first)
+        assert qsym.convert(there, q.basis) == q
+        for second in "MLN":
+            assert qsym.convert(there, second) == qsym.convert(q, second)
+
+
+@FIXED
+@given(elements(bases="N", max_degree=4, max_terms=3), elements(bases="N", max_degree=4, max_terms=3))
+def test_nbasis_product_equals_mul(a, b):
+    product = qsym.nbasis_product(a, b)
+    assert product.basis == "N"
+    assert qsym.convert(product, "M") == qsym.mul(a, b)
+
+
+@FIXED
+@given(elements(scalar=False) | elements())
+def test_termwise_conversions_match_fraction_oracle(q):
+    for (source, target), table in qsym._TERMWISE.items():
+        x = qsym.convert(q, source)
+        assert qsym.convert(x, target) == expand_termwise(x, table, target)

@@ -6,9 +6,10 @@ from math import lcm
 import pytest
 
 import _linalg_oracle as linalg
+from _qsym_oracle import refinements_by_subsets
 from nqsym import compositions as comp
 from nqsym import qsym
-from nqsym.elements import QSymElement, format_element
+from nqsym.elements import QSymElement, TensorElement, format_element
 from nqsym.errors import NotDivisibleError, ValidationError
 
 
@@ -27,6 +28,15 @@ def test_element_normalization_and_equality():
     assert e.terms == {(1, 2): 1}
     assert e + QSymElement("M", {(1, 2): -1}) == QSymElement.zero("M")
     assert QSymElement("M", {(1, 2): Fraction(2, 2)}).is_integral()
+
+
+def test_merged_coefficients_are_normalized():
+    # repeated keys are summed; thirds that sum to 1 give the int 1
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    q = QSymElement("M", [((1,), third), ((1,), two_thirds), ((2,), third), ((2,), -third)])
+    assert q.terms == {(1,): 1} and type(q.terms[(1,)]) is int
+    t = TensorElement("M", [(((1,), ()), third), (((1,), ()), two_thirds)])
+    assert type(t.coefficient((1,), ())) is int
 
 
 def test_mixed_basis_addition_converts_to_monomial():
@@ -171,6 +181,26 @@ def test_internal_builders_return_normalized_elements():
         QSymElement("N", {(1, 2): half, (2, 1): -half, (3,): Fraction(3, 2)}),
     ]
     assert qsym.convert(cancelling[0], "M").terms == {(2,): 1}
+    # M to L, L to M, N to M and mul on fractions: terms cancel, or their
+    # fractions sum to ints
+    third = Fraction(1, 3)
+    fractional = [
+        (QSymElement("M", {(2,): third, (1, 1): third}), "L", {(2,): third}),
+        (QSymElement("L", {(2,): half, (1, 1): -half}), "M", {(2,): half}),
+        (QSymElement("L", {(2,): half, (1, 1): half}), "M", {(2,): half, (1, 1): 1}),
+        (QSymElement("N", {(2,): half}), "M", {(2,): half, (1, 1): 1}),
+        (QSymElement("N", {(2,): half, (1, 1): -half}), "M", {(2,): half, (1, 1): half}),
+    ]
+    for q, target, terms in fractional:
+        assert qsym.convert(q, target).terms == terms
+        assert_normalized(qsym.convert(q, target))
+    m1 = QSymElement.single("M", (1,))
+    assert qsym.mul(m1.scale(half), m1.scale(2)).terms == {(2,): 1, (1, 1): 2}
+    assert qsym.mul(m1.scale(half), m1.scale(half)).terms == {(2,): Fraction(1, 4), (1, 1): half}
+    for q, _, _ in fractional:
+        assert_normalized(qsym.mul(q, q))
+        assert_normalized(qsym.mul(q, q.scale(-1)))
+    cancelling += [q for q, _, _ in fractional]
     rng = random.Random(61)
     samples = cancelling + [
         random_element(rng, rng.choice("MLN"), max_degree=5, integral=(i % 2 == 0))
@@ -198,6 +228,22 @@ def test_internal_builders_return_normalized_elements():
     for alpha in comp.compositions(4):
         for beta in comp.compositions(3):
             assert_normalized(qsym.mul_nbasis(alpha, beta))
+
+
+def test_scale_accepts_only_exact_scalars():
+    q = QSymElement("M", {(2,): 1, (1, 1): Fraction(1, 2)})
+    assert q.scale(2).terms == {(2,): 2, (1, 1): 1}
+    assert q.scale(Fraction(2, 3)).terms == {(2,): Fraction(2, 3), (1, 1): Fraction(1, 3)}
+    assert q.scale(0) == QSymElement.zero("M")
+    for bad in (0.1, 2.0, "1/3", None, 1j):
+        with pytest.raises(ValidationError):
+            q.scale(bad)
+
+
+def test_refinements_match_subset_enumeration():
+    for n in range(11):
+        for alpha in comp.compositions(n):
+            assert qsym.refinements_of(alpha) == refinements_by_subsets(alpha), alpha
 
 
 def test_integer_l_expansion_has_integer_n_expansion():
