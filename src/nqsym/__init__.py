@@ -18,11 +18,9 @@ _EXPORTS = {
         "as_permutation",
         "as_set_partition",
         "binary_word",
-        "binary_word_cmp",
         "composition_to_subset",
         "fibre",
         "induced_partition_by_set_partition",
-        "induced_partition_by_type",
         "is_alternating",
         "partition_type",
         "partitions",
@@ -81,12 +79,9 @@ _EXPORTS = {
         "build_P_alpha",
         "chain",
         "decompose_by",
-        "disjoint_sum_relabeled",
-        "induced_ordered_partitions",
         "is_antichain_inducing",
         "labeling_kind",
         "linear_extensions",
-        "nbasis_product_poset",
         "ordinal_sum",
         "qsym_of_poset",
     ),

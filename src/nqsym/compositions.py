@@ -135,14 +135,6 @@ def binary_word(comp):
     return "".join(("0" if i % 2 == 0 else "1") * p for i, p in enumerate(comp))
 
 
-def binary_word_cmp(a, b):
-    """Total order on compositions of equal weight, lex on their binary words."""
-    if weight(a) != weight(b):
-        raise ValidationError("binary word order compares equal weights only")
-    wa, wb = binary_word(a), binary_word(b)
-    return (wa > wb) - (wa < wb)
-
-
 @lru_cache(maxsize=None)
 def term_order_key(comp):
     """Canonical global sort key: by weight, then binary word order.
@@ -286,11 +278,6 @@ def segment(perm, typ):
     return tuple(out)
 
 
-def induced_partition_by_type(perm, typ):
-    """Ordered partition whose blocks are the segments of the given type."""
-    return tuple(frozenset(seg) for seg in segment(perm, typ))
-
-
 def fibre(ordered_partition):
     """All permutations whose induced partition of this type is the given one.
 
@@ -363,10 +350,16 @@ def ordered_partition_to_json(ordered_partition):
     return [sorted(block) for block in ordered_partition]
 
 
+def _blocks_from_json(data, what):
+    """Blocks of a partition as lists of ints; every element must be a JSON
+    integer."""
+    if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
+        raise ValidationError(f"{what} JSON must be an array of arrays")
+    return [[json_int(x, "block elements") for x in block] for block in data]
+
+
 def ordered_partition_from_json(data):
-    if not isinstance(data, list):
-        raise ValidationError("ordered partition JSON must be an array of arrays")
-    return as_ordered_partition(data)
+    return as_ordered_partition(_blocks_from_json(data, "ordered partition"))
 
 
 def set_partition_to_json(set_partition):
@@ -374,9 +367,7 @@ def set_partition_to_json(set_partition):
 
 
 def set_partition_from_json(data):
-    if not isinstance(data, list):
-        raise ValidationError("set partition JSON must be an array of arrays")
-    return as_set_partition([frozenset(block) for block in data])
+    return as_set_partition(_blocks_from_json(data, "set partition"))
 
 
 def format_composition(comp):

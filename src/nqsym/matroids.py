@@ -22,7 +22,7 @@ from .compositions import (
 )
 from .elements import QSymElement
 from .errors import NotDivisibleError, ResourceLimitError, ValidationError
-from .posets import DEFAULT_ENUMERATION_LIMIT, LabeledPoset, qsym_of_poset
+from .posets import DEFAULT_ENUMERATION_LIMIT, LabeledPoset
 from .qsym import (
     convert,
     divide_by_pure_power,
@@ -290,9 +290,6 @@ class Matroid:
             frozenset(g) for g in sorted(groups.values(), key=lambda g: g[0])
         )
 
-    def is_connected(self):
-        return len(self.components()) == 1
-
     def __eq__(self, other):
         return (
             isinstance(other, Matroid)
@@ -395,37 +392,27 @@ def _basis_type_counts(rank, partners):
     return counts
 
 
-def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT, method="fast"):
+def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
     """The invariant of a matroid in the N basis.
 
-    The fast path interleaves base and cobase blocks of each exchange poset
-    directly.  A basis's type counts depend only on its rank and on the
-    multiset of its cobase elements' partner masks, written over the base
-    positions 0..r-1 in ground order; so the bases are grouped by that
-    shape, and each shape is interleaved once and weighted by the number of
-    its bases.  Loops are stripped first and multiplied back in as N[(l,)].
-    The extensions path sums the poset generating function over full linear
-    extension enumeration and converts, and is kept as an independent
-    oracle.
+    Base and cobase blocks of each exchange poset are interleaved directly.
+    A basis's type counts depend only on its rank and on the multiset of its
+    cobase elements' partner masks, written over the base positions 0..r-1
+    in ground order; so the bases are grouped by that shape, and each shape
+    is interleaved once and weighted by the number of its bases.  Loops are
+    stripped first and multiplied back in as N[(l,)].
     """
     if matroid.n > limit:
         raise ResourceLimitError(
             f"matroid on {matroid.n} elements exceeds enumeration limit {limit}"
         )
-    if method == "extensions":
-        total = QSymElement.zero("L")
-        for basis in matroid.bases:
-            total = total + qsym_of_poset(base_poset(matroid, basis), limit)
-        return convert(total, "N")
-    if method != "fast":
-        raise ValidationError(f"unknown method {method!r}")
     if matroid.n == 0:
         return QSymElement.one("N")
     loops = matroid.loops()
     if loops:
         nonloops = [x for x in range(1, matroid.n + 1) if x not in loops]
         stripped = matroid.restriction(nonloops)
-        inner = qsym_of_matroid(stripped, limit, "fast")
+        inner = qsym_of_matroid(stripped, limit)
         return nbasis_product(inner, QSymElement.single("N", (len(loops),)))
     full = (1 << matroid.n) - 1
     mask_set = matroid._mask_set

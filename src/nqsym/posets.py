@@ -9,9 +9,8 @@ from .compositions import (
     as_composition,
     as_ordered_partition,
     induced_partition_by_set_partition,
-    rank,
+    json_int,
     runs,
-    weight,
 )
 from .elements import QSymElement
 from .errors import ResourceLimitError, ValidationError
@@ -103,9 +102,20 @@ class LabeledPoset:
 
     @classmethod
     def from_json(cls, data):
+        """Read {"labels": [...], "covers": [[lo, hi], ...]}; every label and
+        cover endpoint must be a JSON integer, and each cover a pair."""
         if not isinstance(data, dict) or "labels" not in data:
             raise ValidationError("poset JSON needs 'labels' and 'covers'")
-        return cls(data["labels"], data.get("covers", ()))
+        labels, covers = data["labels"], data.get("covers", [])
+        if not isinstance(labels, list) or not isinstance(covers, list):
+            raise ValidationError("poset 'labels' and 'covers' must be arrays")
+        labels = [json_int(x, "poset labels") for x in labels]
+        pairs = []
+        for cover in covers:
+            if not isinstance(cover, list) or len(cover) != 2:
+                raise ValidationError(f"each cover must be a pair of labels, got {cover!r}")
+            pairs.append(tuple(json_int(x, "cover endpoints") for x in cover))
+        return cls(labels, pairs)
 
 
 def antichain(labels):
@@ -137,20 +147,6 @@ def ordinal_sum(lower, upper):
     relations = list(lower.covers) + list(upper.covers)
     relations += [(x, y) for x in lower.labels for y in upper.labels]
     return LabeledPoset(tuple(lower.labels) + tuple(upper.labels), relations)
-
-
-def disjoint_sum_relabeled(left, right):
-    """Disjoint union, canonically relabeled onto 1..|left|+|right|.
-
-    Left labels map order-preservingly onto 1..|left| and right labels onto
-    the next block, so relative label order at every cover is kept and the
-    quasisymmetric function is the product of the factors'.
-    """
-    lmap = {x: i + 1 for i, x in enumerate(sorted(left.labels))}
-    rmap = {x: i + 1 + len(left.labels) for i, x in enumerate(sorted(right.labels))}
-    relations = [(lmap[a], lmap[b]) for a, b in left.covers]
-    relations += [(rmap[a], rmap[b]) for a, b in right.covers]
-    return LabeledPoset(list(lmap.values()) + list(rmap.values()), relations)
 
 
 # ---------------------------------------------------------------------------
@@ -216,38 +212,30 @@ def build_P_alpha(comp):
     return _ordinal_sum_of_blocks(blocks)
 
 
-def alternating_antichain_labels(comp, offset_even=0, offset_odd=None):
+def alternating_antichain_labels(comp):
     """Label blocks of the given sizes, even-indexed blocks first.
 
     Returns a list of label tuples, one per part.  Even-indexed parts
-    (1-based second, fourth, ...) take offset_even+1, ... in block order;
-    odd-indexed parts take the following integers, by default starting right
-    after the even-indexed ones.
+    (1-based second, fourth, ...) take 1, 2, ... in block order; odd-indexed
+    parts take the following integers.
     """
     comp = as_composition(comp)
-    even_total = weight(comp) - rank(comp)
-    if offset_odd is None:
-        offset_odd = offset_even + even_total
     blocks = [None] * len(comp)
-    nxt = offset_even
-    for i in range(1, len(comp), 2):
-        blocks[i] = tuple(range(nxt + 1, nxt + 1 + comp[i]))
-        nxt += comp[i]
-    nxt = offset_odd
-    for i in range(0, len(comp), 2):
-        blocks[i] = tuple(range(nxt + 1, nxt + 1 + comp[i]))
-        nxt += comp[i]
+    nxt = 0
+    for start in (1, 0):
+        for i in range(start, len(comp), 2):
+            blocks[i] = tuple(range(nxt + 1, nxt + 1 + comp[i]))
+            nxt += comp[i]
     return blocks
 
 
-def _ordinal_relations(blocks):
-    """Every element of each block below every element of the next."""
-    return [(x, y) for lower, upper in zip(blocks, blocks[1:]) for x in lower for y in upper]
-
-
 def _ordinal_sum_of_blocks(blocks):
+    """Antichain blocks, every element of each below every element of the next."""
     labels = [x for block in blocks for x in block]
-    return LabeledPoset(labels, _ordinal_relations(blocks))
+    relations = [
+        (x, y) for lower, upper in zip(blocks, blocks[1:]) for x in lower for y in upper
+    ]
+    return LabeledPoset(labels, relations)
 
 
 def build_P_K(ordered_partition):
@@ -258,70 +246,6 @@ def build_P_K(ordered_partition):
 
 # ---------------------------------------------------------------------------
 # decompositions induced by a set partition
-
-
-def induced_ordered_partitions(poset, parts):
-    """All ordered partitions induced on linear extensions, enumerated directly.
-
-    `parts` is a sequence of disjoint label sets covering the poset (empty
-    parts are allowed and skipped).  A block sequence is induced by some
-    linear extension iff blocks are nonempty, each lies inside one part,
-    adjacent blocks lie in different parts, and whenever x < y in the poset
-    the block of x does not come after the block of y.
-    """
-    parts = [frozenset(p) for p in parts if p]
-    all_labels = [x for p in parts for x in p]
-    if sorted(all_labels) != list(poset.labels):
-        raise ValidationError("parts must partition the poset labels")
-    index = {x: i for i, x in enumerate(poset.labels)}
-    n = poset.n
-    below_masks = poset.below_masks
-    part_masks = []
-    for p in parts:
-        m = 0
-        for x in p:
-            m |= 1 << index[x]
-        part_masks.append(m)
-    full = (1 << n) - 1
-    labels = poset.labels
-
-    def to_block(mask):
-        return frozenset(labels[i] for i in range(n) if mask & (1 << i))
-
-    out = []
-
-    def rec(remaining, last_part, prefix):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        for pi, pmask in enumerate(part_masks):
-            if pi == last_part:
-                continue
-            cand = remaining & pmask
-            if not cand:
-                continue
-            # y is placeable only if its unplaced lower set fits in this block
-            avail = 0
-            for i in range(n):
-                bit = 1 << i
-                if cand & bit and not (below_masks[i] & remaining & ~cand):
-                    avail |= bit
-            sub = avail
-            while sub:
-                ok = True
-                for i in range(n):
-                    bit = 1 << i
-                    if sub & bit and (below_masks[i] & remaining & ~sub):
-                        ok = False
-                        break
-                if ok:
-                    prefix.append(to_block(sub))
-                    rec(remaining & ~sub, pi, prefix)
-                    prefix.pop()
-                sub = (sub - 1) & avail
-
-    rec(full, -1, [])
-    return out
 
 
 def decompose_by(poset, set_partition, limit=DEFAULT_ENUMERATION_LIMIT):
@@ -362,49 +286,3 @@ def labeling_kind(poset):
     if natural:
         return "natural"
     return "neither"
-
-
-# ---------------------------------------------------------------------------
-# the product poset behind the N-basis structure constants
-
-
-def nbasis_product_poset(left, right):
-    """Relabeled disjoint sum of the two chain-of-antichain posets, with the
-    two-part label split that makes every induced ordered partition
-    alternating.
-
-    Returns (Q, (high_part, low_part)) where high_part collects the labels of
-    all odd-indexed antichains of both factors and low_part the even-indexed
-    ones (low_part may be empty).  qsym.structure_constants counts the
-    induced ordered partitions of Q without building it; listing them
-    through induced_ordered_partitions is the test oracle.
-    """
-    left, right = as_composition(left), as_composition(right)
-    if not left or not right:
-        raise ValidationError("both compositions must be nonzero")
-    even_left = weight(left) - rank(left)
-    left_blocks = alternating_antichain_labels(
-        left, offset_even=0, offset_odd=even_left + (weight(right) - rank(right))
-    )
-    right_blocks = alternating_antichain_labels(
-        right,
-        offset_even=even_left,
-        offset_odd=even_left + (weight(right) - rank(right)) + rank(left),
-    )
-    labels = [x for b in left_blocks for x in b] + [x for b in right_blocks for x in b]
-    poset = LabeledPoset(
-        labels, _ordinal_relations(left_blocks) + _ordinal_relations(right_blocks)
-    )
-    high = frozenset(
-        x
-        for blocks in (left_blocks, right_blocks)
-        for b in blocks[0::2]
-        for x in b
-    )
-    low = frozenset(
-        x
-        for blocks in (left_blocks, right_blocks)
-        for b in blocks[1::2]
-        for x in b
-    )
-    return poset, (high, low)

@@ -20,7 +20,13 @@ ints.
 Products are taken in the monomial basis by quasi-shuffles, or directly in
 the N basis through its structure constants.  Those are counted block by
 block with binomial weights, so the product poset and its induced ordered
-partitions are never built; they remain in posets as the oracle.
+partitions are never built; listing them is an oracle in the tests.
+
+The expansion tables (refinements_of, nbasis_in_fundamental,
+nbasis_in_monomial, structure_constants) return their terms in whatever
+order they are built, since every consumer reads them term by term.
+Canonical order (weight, then binary word) is applied only at the output
+boundary, by QSymElement.sorted_terms, to_json and format_element.
 """
 
 from collections import namedtuple
@@ -36,7 +42,6 @@ from .compositions import (
     rank,
     rho_to_runs,
     runs_to_rho,
-    term_order_key,
     triangular_order_key,
     weight,
 )
@@ -63,14 +68,14 @@ def refinements_of(comp):
     """All compositions refining comp, i.e. splitting its parts.
 
     A refinement splits each part independently, so the refinements are the
-    concatenations of one composition of each part, in canonical order.
+    concatenations of one composition of each part.
     """
     comp = as_composition(comp)
     out = [()]
     for part in comp:
         pieces = ordered_compositions(part)
         out = [head + piece for head in out for piece in pieces]
-    return tuple(sorted(out, key=term_order_key))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +150,7 @@ def nbasis_in_fundamental(comp):
                     key = left + right
                 nxt[key] = nxt.get(key, 0) + lc * rc
         counts = nxt
-    return tuple(sorted(counts.items(), key=lambda kv: term_order_key(kv[0])))
+    return tuple(counts.items())
 
 
 def n_basis_element(comp):
@@ -201,7 +206,7 @@ def nbasis_in_monomial(comp):
                     key = left[:-1] + (left[-1] + right[0],) + right[1:]
                     nxt[key] = nxt.get(key, 0) + ways
         counts = nxt
-    return tuple(sorted(counts.items(), key=lambda kv: term_order_key(kv[0])))
+    return tuple(counts.items())
 
 
 @lru_cache(maxsize=None)
@@ -362,25 +367,19 @@ def ordered_compositions(n):
     return tuple(sorted(compositions(n), key=binary_word))
 
 
-def nl_unitriangular_matrix(n, triangular=True):
+def nl_unitriangular_matrix(n):
     """The ascent-run keyed N to L matrix at degree n as (order, rows).
 
-    With triangular=True rows and columns are in the pivot table's
-    triangular order and the matrix is integer upper unitriangular;
-    otherwise binary word order is used (unit diagonal either way).
+    Rows and columns are in the pivot table's triangular order, in which
+    the matrix is integer upper unitriangular.
     """
     table = nl_ascent_run_rows(n)
-    by_alpha = {
-        alpha: {runs_to_rho(c): v for c, v in row} for alpha, _, row in table
-    }
-    if triangular:
-        order = tuple(alpha for alpha, _, _ in table)
-    else:
-        order = tuple(sorted(by_alpha, key=binary_word))
-    rows = tuple(
-        tuple(by_alpha[alpha].get(delta, 0) for delta in order) for alpha in order
-    )
-    return order, rows
+    order = tuple(alpha for alpha, _, _ in table)
+    rows = []
+    for _, _, row in table:
+        by_rho = {runs_to_rho(c): v for c, v in row}
+        rows.append(tuple(by_rho.get(delta, 0) for delta in order))
+    return order, tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +473,7 @@ def structure_constants(left, right):
         return out
 
     counts = suffixes(0, 0, 0, 0, 0)
-    return tuple(sorted(counts.items(), key=lambda kv: term_order_key(kv[0])))
+    return tuple(counts.items())
 
 
 def mul_nbasis(left, right):

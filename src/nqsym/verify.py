@@ -119,7 +119,7 @@ def check_zbasis(max_n=8):
     start = time.perf_counter()
     failures = []
     for n in range(1, max_n + 1):
-        order, rows = qsym.nl_unitriangular_matrix(n, triangular=True)
+        order, rows = qsym.nl_unitriangular_matrix(n)
         size = len(order)
         if size != 2 ** (n - 1):
             failures.append(f"n={n}: dimension is not 2^(n-1)")

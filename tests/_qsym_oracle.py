@@ -10,7 +10,6 @@ from itertools import combinations
 from nqsym.compositions import (
     composition_to_subset,
     subset_to_composition,
-    term_order_key,
     weight,
 )
 from nqsym.elements import QSymElement
@@ -27,8 +26,7 @@ def expand_termwise(element, table, target):
 
 
 def refinements_by_subsets(comp):
-    """Every composition refining comp, one per superset of its cut set,
-    in canonical order."""
+    """Every composition refining comp, one per superset of its cut set."""
     n = weight(comp)
     base = composition_to_subset(comp)
     free = [i for i in range(1, n) if i not in base]
@@ -36,4 +34,4 @@ def refinements_by_subsets(comp):
     for r in range(len(free) + 1):
         for extra in combinations(free, r):
             out.append(subset_to_composition(base | set(extra), n))
-    return tuple(sorted(out, key=term_order_key))
+    return tuple(out)

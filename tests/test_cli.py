@@ -38,6 +38,58 @@ def test_expand_deterministic_bytes(capsys):
     assert first == second
 
 
+# stdout of two commands, frozen byte for byte: the tables behind them
+# return terms in no particular order, so these pin the canonical term order
+# (weight, then binary word) that the JSON output applies
+EXPAND_213 = (
+    '{"L": {"basis": "L", "terms": [{"comp": [2, 2, 2], "den": 1, "num": 2}, '
+    '{"comp": [2, 2, 1, 1], "den": 1, "num": 1}, '
+    '{"comp": [2, 3, 1], "den": 1, "num": 2}, '
+    '{"comp": [2, 4], "den": 1, "num": 1}, '
+    '{"comp": [1, 1, 4], "den": 1, "num": 1}, '
+    '{"comp": [1, 1, 3, 1], "den": 1, "num": 2}, '
+    '{"comp": [1, 1, 2, 1, 1], "den": 1, "num": 1}, '
+    '{"comp": [1, 1, 2, 2], "den": 1, "num": 2}]}, "M": {"basis": "M", '
+    '"terms": [{"comp": [2, 1, 3], "den": 1, "num": 1}, '
+    '{"comp": [2, 1, 2, 1], "den": 1, "num": 3}, '
+    '{"comp": [2, 1, 1, 1, 1], "den": 1, "num": 6}, '
+    '{"comp": [2, 1, 1, 2], "den": 1, "num": 3}, '
+    '{"comp": [2, 2, 2], "den": 1, "num": 3}, '
+    '{"comp": [2, 2, 1, 1], "den": 1, "num": 6}, '
+    '{"comp": [2, 3, 1], "den": 1, "num": 3}, '
+    '{"comp": [2, 4], "den": 1, "num": 1}, '
+    '{"comp": [1, 1, 4], "den": 1, "num": 2}, '
+    '{"comp": [1, 1, 3, 1], "den": 1, "num": 6}, '
+    '{"comp": [1, 1, 2, 1, 1], "den": 1, "num": 12}, '
+    '{"comp": [1, 1, 2, 2], "den": 1, "num": 6}, '
+    '{"comp": [1, 1, 1, 1, 2], "den": 1, "num": 6}, '
+    '{"comp": [1, 1, 1, 1, 1, 1], "den": 1, "num": 12}, '
+    '{"comp": [1, 1, 1, 2, 1], "den": 1, "num": 6}, '
+    '{"comp": [1, 1, 1, 3], "den": 1, "num": 2}]}, "composition": [2, 1, 3]}\n'
+)
+M3_TO_N = (
+    '{"basis": "N", "terms": [{"comp": [3], "den": 2, "num": 1}, '
+    '{"comp": [2, 1], "den": 2, "num": -3}, '
+    '{"comp": [1, 1, 1], "den": 3, "num": -13}, '
+    '{"comp": [1, 2], "den": 6, "num": 13}, '
+    '{"comp": [2, 1, 1], "den": 7, "num": -5}, '
+    '{"comp": [2, 2], "den": 7, "num": 5}, '
+    '{"comp": [1, 1, 2], "den": 7, "num": -10}, '
+    '{"comp": [1, 1, 1, 1], "den": 7, "num": 30}, '
+    '{"comp": [1, 2, 1], "den": 7, "num": 20}, '
+    '{"comp": [1, 3], "den": 7, "num": -10}]}\n'
+)
+M3 = (
+    '{"basis": "M", "terms": [{"comp": [3], "num": 1, "den": 2}, '
+    '{"comp": [1, 2], "num": -2, "den": 3}, {"comp": [2, 1, 1], "num": 5, "den": 7}]}'
+)
+
+
+def test_golden_stdout_bytes(capsys):
+    assert run_cli(["expand", "--comp", "2,1,3"], capsys=capsys) == (0, EXPAND_213)
+    assert run_cli(["convert", "--to", "N"], M3, capsys) == (0, M3_TO_N)
+
+
 def test_expand_pretty(capsys):
     code, out = run_cli(["expand", "--comp", "1,2,2", "--pretty"], capsys=capsys)
     assert code == 0

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from _poset_oracle import binary_word_cmp, induced_partition_by_type
 from nqsym import compositions as comp
 from nqsym import qsym
 from nqsym.elements import QSymElement
@@ -100,10 +101,10 @@ def test_rho_runs_bijection_exhaustive():
 def test_binary_word_order_example():
     assert comp.binary_word((2, 1)) == "001"
     assert comp.binary_word((3,)) == "000"
-    assert comp.binary_word_cmp((3,), (2, 1)) < 0
-    assert comp.binary_word_cmp((1, 2), (1, 2)) == 0
+    assert binary_word_cmp((3,), (2, 1)) < 0
+    assert binary_word_cmp((1, 2), (1, 2)) == 0
     with pytest.raises(ValidationError):
-        comp.binary_word_cmp((2,), (2, 1))
+        binary_word_cmp((2,), (2, 1))
 
 
 def test_binary_word_order_total_on_fixed_weight():
@@ -112,8 +113,8 @@ def test_binary_word_order_total_on_fixed_weight():
     assert len(set(words)) == len(comps)
     for a in comps:
         for b in comps:
-            ab = comp.binary_word_cmp(a, b)
-            ba = comp.binary_word_cmp(b, a)
+            ab = binary_word_cmp(a, b)
+            ba = binary_word_cmp(b, a)
             assert ab == -ba
             if ab == 0:
                 assert a == b
@@ -144,9 +145,9 @@ def test_triangular_order_extends_refinement_but_binary_word_does_not():
 def test_segmentation():
     segs = comp.segment((2, 7, 5, 1, 8), (2, 1, 2))
     assert segs == ((2, 7), (5,), (1, 8))
-    induced = comp.induced_partition_by_type((2, 7, 5, 1, 8), (2, 1, 2))
+    induced = induced_partition_by_type((2, 7, 5, 1, 8), (2, 1, 2))
     assert induced == (frozenset({2, 7}), frozenset({5}), frozenset({1, 8}))
-    assert comp.induced_partition_by_type((2, 7, 5), (3,)) == (frozenset({2, 5, 7}),)
+    assert induced_partition_by_type((2, 7, 5), (3,)) == (frozenset({2, 5, 7}),)
     with pytest.raises(ValidationError):
         comp.segment((1, 2, 3), (2, 2))
 
@@ -164,7 +165,7 @@ def test_type_recovered_from_induced_partition():
             part = rng.randint(1, left)
             typ.append(part)
             left -= part
-        induced = comp.induced_partition_by_type(word, tuple(typ))
+        induced = induced_partition_by_type(word, tuple(typ))
         assert comp.partition_type(induced) == tuple(typ)
 
 
@@ -190,13 +191,13 @@ def test_fibre_sizes_and_partition_of_symmetric_group():
             seen = set()
             total = 0
             for w in permutations(range(1, n + 1)):
-                K = comp.induced_partition_by_type(w, typ)
+                K = induced_partition_by_type(w, typ)
                 if K in seen:
                     continue
                 seen.add(K)
                 fib = list(comp.fibre(K))
                 assert len(fib) == math.prod(math.factorial(len(b)) for b in K)
-                assert w in set(comp.fibre(comp.induced_partition_by_type(w, typ)))
+                assert w in set(comp.fibre(induced_partition_by_type(w, typ)))
                 total += len(fib)
             assert total == math.factorial(n)
 
@@ -291,6 +292,24 @@ def test_json_codecs():
     T = comp.as_set_partition([{3, 1}, {2}])
     assert comp.set_partition_from_json(comp.set_partition_to_json(T)) == T
     assert comp.composition_from_json([1, 2, 2]) == (1, 2, 2)
+
+
+def test_ordered_partition_json_rejects_non_integers():
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValidationError):
+            comp.ordered_partition_from_json([[1, bad], [3]])
+    for bad in ("12", 1, None):
+        with pytest.raises(ValidationError):
+            comp.ordered_partition_from_json([bad])
+
+
+def test_set_partition_json_rejects_non_integers():
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValidationError):
+            comp.set_partition_from_json([[1, bad], [3]])
+    for bad in ("12", 1, None):
+        with pytest.raises(ValidationError):
+            comp.set_partition_from_json([bad])
 
 
 def test_parse_and_format():

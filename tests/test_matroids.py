@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import _linalg_oracle as linalg
+from _matroid_oracle import qsym_of_matroid_by_extensions
 from nqsym import compositions as comp
 from nqsym import matroids as mat
 from nqsym import qsym
@@ -165,15 +166,11 @@ def test_fast_path_matches_linear_extension_oracle():
     rng = random.Random(7)
     for _ in range(30):
         m = mat.sample_loopless_matroid(rng, rng.randint(1, 6))
-        assert mat.qsym_of_matroid(m, method="fast") == mat.qsym_of_matroid(
-            m, method="extensions"
-        )
+        assert mat.qsym_of_matroid(m) == qsym_of_matroid_by_extensions(m)
     # also with loops present
     for _ in range(10):
         m = mat.sample_loopless_matroid(rng, rng.randint(1, 4)).direct_sum(uniform(0, 1))
-        assert mat.qsym_of_matroid(m, method="fast") == mat.qsym_of_matroid(
-            m, method="extensions"
-        )
+        assert mat.qsym_of_matroid(m) == qsym_of_matroid_by_extensions(m)
 
 
 def _pairwise_exchange_valid(base_masks):
@@ -288,14 +285,14 @@ def test_incremental_deletion_check_matches_exchange_valid():
 
 def test_fast_path_matches_extensions_on_every_small_matroid():
     for m in _labelled_matroids(5):
-        assert mat.qsym_of_matroid(m) == mat.qsym_of_matroid(m, method="extensions"), m
+        assert mat.qsym_of_matroid(m) == qsym_of_matroid_by_extensions(m), m
 
 
 def test_fast_path_matches_extensions_on_uniform_and_rank_two_families():
     for n in range(8):
         for r in range(n + 1):
             m = uniform(r, n)
-            assert mat.qsym_of_matroid(m) == mat.qsym_of_matroid(m, method="extensions")
+            assert mat.qsym_of_matroid(m) == qsym_of_matroid_by_extensions(m)
     for n in range(2, 6):
         for lam in comp.partitions(n, min_parts=2):
             for loops, coloops in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)):
@@ -304,7 +301,7 @@ def test_fast_path_matches_extensions_on_uniform_and_rank_two_families():
                     m = m.direct_sum(uniform(0, 1))
                 for _ in range(coloops):
                     m = m.direct_sum(uniform(1, 1))
-                oracle = mat.qsym_of_matroid(m, method="extensions")
+                oracle = qsym_of_matroid_by_extensions(m)
                 assert mat.qsym_of_matroid(m) == oracle, (lam, loops, coloops)
 
 

@@ -3,6 +3,11 @@ import random
 
 import pytest
 
+from _poset_oracle import (
+    disjoint_sum_relabeled,
+    induced_ordered_partitions,
+    nbasis_product_poset,
+)
 from nqsym import compositions as comp
 from nqsym.elements import QSymElement
 from nqsym.errors import ResourceLimitError, ValidationError
@@ -13,12 +18,9 @@ from nqsym.posets import (
     build_P_alpha,
     chain,
     decompose_by,
-    disjoint_sum_relabeled,
-    induced_ordered_partitions,
     is_antichain_inducing,
     labeling_kind,
     linear_extensions,
-    nbasis_product_poset,
     ordinal_sum,
     qsym_of_poset,
     relabeled,
@@ -327,3 +329,20 @@ def test_product_poset_induced_partitions_alternate():
 def test_poset_json_round_trip():
     p = build_P_alpha((2, 1))
     assert LabeledPoset.from_json(p.to_json()) == p
+
+
+def test_poset_json_rejects_non_integers():
+    # int() would read this as labels [1, 2] with the cover (1, 2)
+    with pytest.raises(ValidationError):
+        LabeledPoset.from_json({"labels": [1.5, 2.9, True], "covers": [[1.2, 2.7]]})
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValidationError):
+            LabeledPoset.from_json({"labels": [1, bad], "covers": []})
+        with pytest.raises(ValidationError):
+            LabeledPoset.from_json({"labels": [1, 2], "covers": [[1, bad]]})
+    for cover in ([1], [1, 2, 3], "12", 12):
+        with pytest.raises(ValidationError):
+            LabeledPoset.from_json({"labels": [1, 2, 3], "covers": [cover]})
+    for data in ({"labels": "12"}, {"labels": [1, 2], "covers": {"1": 2}}):
+        with pytest.raises(ValidationError):
+            LabeledPoset.from_json(data)

@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 
 import _linalg_oracle as linalg
+from _poset_oracle import induced_ordered_partitions, nbasis_product_poset
 from _qsym_oracle import refinements_by_subsets
 from nqsym import compositions as comp
 from nqsym import qsym
@@ -21,6 +22,14 @@ def random_element(rng, basis, max_degree=6, terms=3, integral=True):
         coeff = rng.randint(-5, 5) if integral else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         out[rng.choice(cands)] = coeff
     return QSymElement(basis, out)
+
+
+def as_dict(pairs):
+    """The (composition, coefficient) pairs of an expansion table as a dict;
+    a table lists each composition once, in no particular order."""
+    out = dict(pairs)
+    assert len(out) == len(pairs)
+    return out
 
 
 def test_element_normalization_and_equality():
@@ -100,13 +109,14 @@ def enumerated_nbasis_in_fundamental(alpha):
         word = tuple(x for seg in choice for x in seg)
         c = comp.runs(word)
         counts[c] = counts.get(c, 0) + 1
-    return tuple(sorted(counts.items(), key=lambda kv: comp.term_order_key(kv[0])))
+    return counts
 
 
 def test_nbasis_in_fundamental_matches_word_enumeration():
     for n in range(1, 10):
         for alpha in comp.compositions(n):
-            assert qsym.nbasis_in_fundamental(alpha) == enumerated_nbasis_in_fundamental(alpha)
+            table = as_dict(qsym.nbasis_in_fundamental(alpha))
+            assert table == enumerated_nbasis_in_fundamental(alpha)
 
 
 def test_descent_classes_match_brute_force():
@@ -162,7 +172,7 @@ def test_nbasis_in_monomial_matches_route_through_fundamental():
         for alpha in comp.compositions(n):
             n_alpha = QSymElement.single("N", alpha)
             oracle = qsym.convert(qsym.convert(n_alpha, "L"), "M")
-            assert qsym.nbasis_in_monomial(alpha) == tuple(oracle.sorted_terms()), alpha
+            assert as_dict(qsym.nbasis_in_monomial(alpha)) == oracle.terms, alpha
 
 
 def assert_normalized(element):
@@ -243,7 +253,9 @@ def test_scale_accepts_only_exact_scalars():
 def test_refinements_match_subset_enumeration():
     for n in range(11):
         for alpha in comp.compositions(n):
-            assert qsym.refinements_of(alpha) == refinements_by_subsets(alpha), alpha
+            table = qsym.refinements_of(alpha)
+            oracle = refinements_by_subsets(alpha)
+            assert len(table) == len(oracle) and set(table) == set(oracle), alpha
 
 
 def test_integer_l_expansion_has_integer_n_expansion():
@@ -357,17 +369,26 @@ def test_transition_matrix_dimension_and_determinant():
         assert all(isinstance(v, int) for row in inverse.rows for v in row)
 
 
+def _in_binary_word_order(order, rows):
+    """The same matrix with rows and columns permuted into binary word order."""
+    perm = sorted(range(len(order)), key=lambda i: comp.binary_word(order[i]))
+    return (
+        tuple(order[i] for i in perm),
+        tuple(tuple(rows[i][j] for j in perm) for i in perm),
+    )
+
+
 def test_nl_unitriangular_matrix():
     for n in range(1, 8):
-        order, rows = qsym.nl_unitriangular_matrix(n, triangular=True)
+        order, rows = qsym.nl_unitriangular_matrix(n)
         for i, row in enumerate(rows):
             assert row[i] == 1
             assert all(v == 0 for v in row[:i])
             assert all(isinstance(v, int) and v >= 0 for v in row)
         # binary word ordering keeps the unit diagonal but not triangularity
-        order_bw, rows_bw = qsym.nl_unitriangular_matrix(n, triangular=False)
+        order_bw, rows_bw = _in_binary_word_order(order, rows)
         assert all(rows_bw[i][i] == 1 for i in range(len(order_bw)))
-    _, rows4 = qsym.nl_unitriangular_matrix(4, triangular=False)
+    _, rows4 = _in_binary_word_order(*qsym.nl_unitriangular_matrix(4))
     assert any(
         rows4[i][j] != 0 for i in range(len(rows4)) for j in range(i)
     ), "binary word order happens to triangularize degree 4"
@@ -401,19 +422,17 @@ def test_structure_constants_examples():
 def _structure_constants_by_enumeration(left, right):
     """Oracle: list every induced ordered partition of the product poset and
     count them by type."""
-    from nqsym.posets import induced_ordered_partitions, nbasis_product_poset
-
     if not left:
-        return ((right, 1),)
+        return {right: 1}
     if not right:
-        return ((left, 1),)
+        return {left: 1}
     poset, (high, low) = nbasis_product_poset(left, right)
     parts = [p for p in (high, low) if p]
     counts = {}
     for induced in induced_ordered_partitions(poset, parts):
         typ = comp.partition_type(induced)
         counts[typ] = counts.get(typ, 0) + 1
-    return tuple(sorted(counts.items(), key=lambda kv: comp.term_order_key(kv[0])))
+    return counts
 
 
 def test_structure_constants_match_enumeration():
@@ -423,7 +442,8 @@ def test_structure_constants_match_enumeration():
             for alpha in comp.compositions(wa):
                 for beta in comp.compositions(total - wa):
                     expected = _structure_constants_by_enumeration(alpha, beta)
-                    assert qsym.structure_constants(alpha, beta) == expected, (alpha, beta)
+                    table = as_dict(qsym.structure_constants(alpha, beta))
+                    assert table == expected, (alpha, beta)
                     pairs += 1
     assert pairs == 1280
 
@@ -432,8 +452,8 @@ def test_structure_constants_are_symmetric():
     fives = list(comp.compositions(5))
     for alpha in fives:
         for beta in fives:
-            assert qsym.structure_constants(alpha, beta) == qsym.structure_constants(
-                beta, alpha
+            assert as_dict(qsym.structure_constants(alpha, beta)) == as_dict(
+                qsym.structure_constants(beta, alpha)
             ), (alpha, beta)
 
 
