@@ -167,7 +167,9 @@ def triangular_order_key(comp):
 
 
 def as_permutation(entries):
-    perm = tuple(int(x) for x in entries)
+    """Validate a permutation as a tuple of distinct positive ints; a bool,
+    float or string entry is rejected, never converted."""
+    perm = tuple(json_int(x, "permutation entries") for x in entries)
     if any(x < 1 for x in perm):
         raise ValidationError("permutation entries must be positive")
     if len(set(perm)) != len(perm):
@@ -235,13 +237,13 @@ def rho_to_runs(comp):
 
 
 def as_ordered_partition(blocks):
-    parts = tuple(frozenset(int(x) for x in block) for block in blocks)
+    parts = tuple(frozenset(json_int(x, "block elements") for x in block) for block in blocks)
     _check_blocks(parts)
     return parts
 
 
 def as_set_partition(blocks):
-    parts = [frozenset(int(x) for x in block) for block in blocks]
+    parts = [frozenset(json_int(x, "block elements") for x in block) for block in blocks]
     _check_blocks(parts)
     return frozenset(parts)
 
@@ -334,7 +336,8 @@ def is_alternating(ordered_partition):
 
 
 def json_int(value, what):
-    """A JSON integer as an int; bools, floats and strings are rejected."""
+    """An integer, from JSON or the Python API, as an int; bools, floats and
+    strings are rejected, never converted."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value

@@ -30,12 +30,12 @@ class LabeledPoset:
     __slots__ = ("labels", "covers", "below", "below_masks")
 
     def __init__(self, labels, relations=()):
-        labels = tuple(sorted({int(x) for x in labels}))
+        labels = tuple(sorted({json_int(x, "poset labels") for x in labels}))
         if any(x < 1 for x in labels):
             raise ValidationError("labels must be positive integers")
         below = {x: set() for x in labels}
         for lo, hi in relations:
-            lo, hi = int(lo), int(hi)
+            lo, hi = json_int(lo, "relation endpoints"), json_int(hi, "relation endpoints")
             if lo not in below or hi not in below:
                 raise ValidationError(f"relation ({lo},{hi}) uses unknown labels")
             below[hi].add(lo)
@@ -130,7 +130,9 @@ def chain(labels):
 
 def relabeled(poset, mapping):
     """Apply an injective label mapping, keeping all order relations."""
-    mapping = {int(k): int(v) for k, v in mapping.items()}
+    mapping = {
+        json_int(k, "mapped labels"): json_int(v, "new labels") for k, v in mapping.items()
+    }
     if set(mapping) != set(poset.labels):
         raise ValidationError("mapping must cover exactly the poset labels")
     if len(set(mapping.values())) != len(mapping):

@@ -5,17 +5,27 @@ alternately labeled ordinal sum of antichains with those block sizes.  All
 coefficients are exact rationals, but every table here holds ints, so the
 conversions and products work on int numerators over one common
 denominator (the lcm of the input's denominators, or the product of the
-factors' for a product) and make Fractions only for the result, through
-QSymElement._from_numerators.  Because the labeling alternates by block,
-every block boundary is always a descent or always an ascent, so the N to L
-and N to M expansions are closed forms: each coefficient is a sum of
-products of per-block counts (permutations by run composition for L,
-ordered set partitions by type for M), and no word or P-partition is
-listed.  Every other conversion routes through the fundamental basis.  L to
-N is one integer peel per degree: the N to L matrix is integer unitriangular
-once its columns are keyed by ascent runs, so the rows of a pivot table,
-stored in triangular order, are subtracted from the degree's numerators in
-ints.
+factors' for a product) and make Fractions only for the result.
+
+Every basis change works on one dense int vector per degree n, of length
+2^(n-1) and indexed by cut mask: bit i is set when a part ends after
+position i + 1, so a composition is a word over {a, d}, a for no cut and d
+for a cut.  None of them reads a per-degree table.
+- M and L: L_S is the sum of the M_T over the cut sets T containing S
+  (Gessel 1984), so M to L and L to M are subset-sum transforms, one pass
+  per bit.
+- N to L and N to M: because the labeling alternates by block, every block
+  boundary is always a descent or always an ascent, and the N element of
+  (k, beta) is the word product B(k) s N'_beta, where B(k) counts the
+  permutations of [k] by run composition (for L) or the ordered set
+  partitions of k elements by type (for M), s is the separator and N' has
+  the other separator first.  A Horner fold over the first part expands a
+  whole element; no word or P-partition is listed.
+- L to N: only the identity's word of B(k) has first part k, so a
+  recursive left division by the first block, first parts from the largest
+  down, solves each degree in int subtractions.  M to N is M to L and then
+  the division.
+Small degrees use stored rows, one per word, in place of the recursion.
 
 Products are taken in the monomial basis by quasi-shuffles, or directly in
 the N basis through its structure constants.  Those are counted block by
@@ -32,8 +42,9 @@ boundary, by QSymElement.sorted_terms, to_json and format_element.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import comb, factorial, gcd, lcm
+from operator import add, sub
 
 from .compositions import (
     as_composition,
@@ -60,7 +71,7 @@ def fundamental_element(comp, coeff=1):
 
 
 # ---------------------------------------------------------------------------
-# refinement expansions between M and L
+# refinements
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +79,8 @@ def refinements_of(comp):
     """All compositions refining comp, i.e. splitting its parts.
 
     A refinement splits each part independently, so the refinements are the
-    concatenations of one composition of each part.
+    concatenations of one composition of each part.  No conversion reads
+    this table: M and L are related by subset sums over cut masks.
     """
     comp = as_composition(comp)
     out = [()]
@@ -78,47 +90,272 @@ def refinements_of(comp):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _fundamental_in_monomial(comp):
-    return tuple((beta, 1) for beta in refinements_of(comp))
+# ---------------------------------------------------------------------------
+# cut-mask vectors
+
+# Degrees up to this one are converted by stored rows, one per word (15 per
+# table), instead of level by level: deep in a Horner fold or a division
+# most calls land there, and a row sum is cheaper than a level.
+_ROW_DEGREE = 4
+
+
+def _cut_mask(comp):
+    """The cut mask of a composition: bit i is set when a part ends after
+    position i + 1, so a weight-n composition has a mask below 2^(n-1)."""
+    mask, end = 0, -1
+    for part in comp[:-1]:
+        end += part
+        mask |= 1 << end
+    return mask
 
 
 @lru_cache(maxsize=None)
-def _monomial_in_fundamental(comp):
-    comp = as_composition(comp)
+def _mask_compositions(n):
+    """The weight-n compositions (n >= 1) indexed by cut mask.  The masks
+    with the last cut (after position n - 1) set are the upper half: those
+    compositions end in a part 1, and the others extend their last part."""
+    if n == 1:
+        return ((1,),)
+    shorter = _mask_compositions(n - 1)
+    return tuple(c[:-1] + (c[-1] + 1,) for c in shorter) + tuple(c + (1,) for c in shorter)
+
+
+def _vectors(numerators):
+    """Int numerators keyed by composition as one dense list per degree
+    n >= 1, of length 2^(n-1) and indexed by cut mask; the scalar part is
+    left out."""
+    out = {}
+    for comp, v in numerators.items():
+        if comp:
+            n = sum(comp)
+            vec = out.get(n)
+            if vec is None:
+                vec = out[n] = [0] * (1 << (n - 1))
+            vec[_cut_mask(comp)] = v
+    return out
+
+
+def _named(vec, n, out):
+    """Add the nonzero entries of a degree-n vector to out, by composition."""
+    out.update(zip(compress(_mask_compositions(n), vec), filter(None, vec)))
+
+
+def _unit_rows(n, convert_levels, *args):
+    """The rows of a linear map at degree n: the images of the unit vectors
+    under convert_levels(vec, n, *args)."""
+    size = 1 << (n - 1)
     return tuple(
-        (beta, (-1) ** (len(beta) - len(comp))) for beta in refinements_of(comp)
+        tuple(convert_levels([int(m == e) for m in range(size)], n, *args))
+        for e in range(size)
     )
 
 
+def _row_sum(vec, rows):
+    """The sum of vec[e] * rows[e]."""
+    out = [0] * len(vec)
+    for v, row in zip(vec, rows):
+        if v:
+            out = [o + v * r for o, r in zip(out, row)]
+    return out
+
+
+def _add_product(vec, head, tail, offset, sign=1):
+    """Add sign times the word product of head, a separator and tail to
+    vec: head[u] * tail[j] goes to u + offset + j * 2^k, where head has
+    length 2^(k-1) and offset is 0 for the letter a after position k or
+    2^(k-1) for d.  Done as slices over whichever of head and tail is
+    shorter."""
+    half = len(head)
+    step = half << 1
+    if len(tail) < half:
+        for j, t in enumerate(tail):
+            if t:
+                t *= sign
+                lo = offset + j * step
+                vec[lo : lo + half] = [o + t * c for o, c in zip(vec[lo : lo + half], head)]
+    else:
+        for u, c in enumerate(head):
+            c *= sign
+            vec[u + offset :: step] = [o + c * t for o, t in zip(vec[u + offset :: step], tail)]
+
+
+def _subset_sums(vec, op):
+    """Set vec[m | bit] = op(vec[m | bit], vec[m]) for each bit in turn, in
+    place: with op add this takes L numerators to M ones, since L_S is the
+    sum of the M_T with T containing S (Gessel 1984), and with op sub it
+    takes M to L.  Each bit is one pass over the vector, as stride slices or
+    as contiguous blocks, whichever needs fewer slices."""
+    size = len(vec)
+    bit = 1
+    while bit < size:
+        step = bit << 1
+        if bit <= size // step:
+            for low in range(bit):
+                vec[low + bit :: step] = map(op, vec[low + bit :: step], vec[low::step])
+        else:
+            for start in range(0, size, step):
+                top = start + step
+                vec[start + bit : top] = map(op, vec[start + bit : top], vec[start : start + bit])
+        bit = step
+
+
 # ---------------------------------------------------------------------------
-# the N basis in the fundamental basis
+# the block vectors
 
 
 @lru_cache(maxsize=None)
 def _descent_classes(a):
-    """Run compositions of the permutations of [a], with their counts.
+    """Permutations of [a] counted by run composition, as a vector indexed
+    by cut mask.
 
     Built letter by letter: a word's state is its run composition and the
-    relative rank j of its last letter.  Appending a letter of relative rank
-    i among k + 1 letters continues the last run when i > j (an ascent) and
-    opens a new run of length 1 otherwise (a descent).  Each run composition
-    keeps one vector of counts indexed by j, so the ascent successor's
-    vector is the prefix sums of it and the descent successor's the suffix
-    sums.  Distinct compositions have distinct successors (an ascent one
-    ends in a part >= 2, a descent one in a 1), so nothing is merged.
+    relative rank j of its last letter.  Appending a letter of relative
+    rank i among k + 1 letters continues the last run when i > j (an
+    ascent) and cuts after position k otherwise (a descent).  Listed by
+    cut mask, the ascent successors keep their index and the descent ones
+    move up by 2^(k-1).  Each state keeps one vector of counts indexed by
+    j, so the ascent successor's vector is the prefix sums of it and the
+    descent successor's the suffix sums.
     """
-    states = {(1,): [1]}
+    states = [[1]]
     for _ in range(1, a):
-        nxt = {}
-        for comp, by_rank in states.items():
-            nxt[comp[:-1] + (comp[-1] + 1,)] = [0, *accumulate(by_rank)]
+        descents = []
+        for by_rank in states:
             suffix = [*accumulate(reversed(by_rank))]
             suffix.reverse()
             suffix.append(0)
-            nxt[comp + (1,)] = suffix
-        states = nxt
-    return tuple((comp, sum(by_rank)) for comp, by_rank in states.items())
+            descents.append(suffix)
+        states = [[0, *accumulate(by_rank)] for by_rank in states] + descents
+    return tuple(sum(by_rank) for by_rank in states)
+
+
+@lru_cache(maxsize=None)
+def _level_classes(a):
+    """Ordered set partitions of an a-element antichain counted by type, as
+    a vector indexed by cut mask: composition c has a!/prod c_i!."""
+    out = []
+    for comp in _mask_compositions(a):
+        count = factorial(a)
+        for part in comp:
+            count //= factorial(part)
+        out.append(count)
+    return tuple(out)
+
+
+# the block vectors of the Horner fold into each basis, and its separators at
+# the descent level (0) and at the ascent level (1): True is the letter d (a
+# cut), False the letter a, and (False, True) the sum a + d
+_FOLDS = {
+    "L": (_descent_classes, ((True,), (False,))),
+    "M": (_level_classes, ((True,), (False, True))),
+}
+
+
+# ---------------------------------------------------------------------------
+# N to L and N to M: a Horner fold
+
+
+def _horner(vec, n, target, level=0):
+    """The degree-n N numerators vec expanded in basis target, 'L' or 'M'."""
+    if n <= _ROW_DEGREE:
+        return _row_sum(vec, _expansion_rows(n, target, level))
+    return _horner_levels(vec, n, target, level)
+
+
+def _horner_levels(vec, n, target, level):
+    """The Horner fold over the first block.
+
+    As words over {a, d} (a: no cut, d: a cut) the N element of (k, beta)
+    is B(k) s N'_beta: B(k) is the block vector of k, s the separator of
+    this level and N' the element with the levels swapped.  So the terms
+    are grouped by first part k, the words with first part k being the
+    stride slice [2^(k-1) :: 2^k], whose tails are expanded once at the
+    other level and multiplied by B(k).  The first part n is the single
+    mask 0, whose expansion is B(n) itself.
+    """
+    classes, seps = _FOLDS[target]
+    x = vec[0]
+    out = [x * c for c in classes(n)] if x else [0] * len(vec)
+    for k in range(1, n):
+        half, step = 1 << (k - 1), 1 << k
+        g = vec[half::step]
+        if not any(g):
+            continue
+        tail = _horner(g, n - k, target, 1 - level)
+        for cut in seps[level]:
+            _add_product(out, classes(k), tail, half if cut else 0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _expansion_rows(n, target, level):
+    """The N to target matrix at degree n <= _ROW_DEGREE in cut-mask order,
+    at the given level."""
+    return _unit_rows(n, _horner_levels, target, level)
+
+
+# ---------------------------------------------------------------------------
+# L to N: a recursive left division
+
+
+def _divide(vec, n):
+    """L to N at degree n >= 1: the N numerators, in cut-mask order, of the
+    L numerators vec, which is consumed."""
+    if n <= _ROW_DEGREE:
+        return _row_sum(vec, _inverse_rows(n))
+    return _divide_levels(vec, n)
+
+
+def _divide_levels(vec, n):
+    """Left division by the first block.
+
+    At the descent level the N element of (k, beta) is D(k) d N'_beta,
+    D(k) = _descent_classes(k).  Every word of D(k) has first part at most
+    k, and only the identity's word, of coefficient 1, has first part k.
+    So, first parts from n down, the words with first part k are exactly
+    the L vector g of sum_beta x_(k,beta) N'_beta: D(k) d g is subtracted,
+    and g solved recursively.  N'_beta is N_beta with every letter
+    complemented (reversing a permutation's values maps D(k) onto itself),
+    and complementing every mask reverses the list, so g is solved as
+    g[::-1] at the descent level.  Every step is an int subtraction; the
+    slices of each first part are disjoint, so nothing is left over.
+    """
+    out = [0] * len(vec)
+    x = out[0] = vec[0]
+    if x:
+        vec = [r - x * c for r, c in zip(vec, _descent_classes(n))]
+    for k in range(n - 1, 0, -1):
+        half, step = 1 << (k - 1), 1 << k
+        g = vec[half::step]
+        if not any(g):
+            continue
+        _add_product(vec, _descent_classes(k), g, half, -1)
+        out[half::step] = _divide(g[::-1], n - k)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _inverse_rows(n):
+    """The L to N matrix at degree n <= _ROW_DEGREE in cut-mask order."""
+    return _unit_rows(n, _divide_levels)
+
+
+# ---------------------------------------------------------------------------
+# the N basis in the fundamental and monomial bases
+
+
+def _expansion(comp, target):
+    """The N element of comp in basis target, as (composition, count)
+    pairs: the Horner fold of its unit vector."""
+    comp = as_composition(comp)
+    if not comp:
+        return (((), 1),)
+    n = sum(comp)
+    unit = [0] * (1 << (n - 1))
+    unit[_cut_mask(comp)] = 1
+    out = {}
+    _named(_horner(unit, n, target), n, out)
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
@@ -130,49 +367,16 @@ def nbasis_in_fundamental(comp):
     blocks the low ones, so the boundary after block j is a descent for even
     j and an ascent for odd j.  A word's run composition is then fixed by
     those of its block segments: concatenated across a descent, with the
-    touching parts merged across an ascent.  Folding the per-block descent
-    classes left to right gives the expansion as a sum of products of
-    descent-class counts, without listing the words.
+    touching parts merged across an ascent.  So the expansion is the
+    product of the per-block descent classes with separators d, a, d, ...,
+    without listing the words.
     """
-    comp = as_composition(comp)
-    if not comp:
-        return (((), 1),)
-    counts = dict(_descent_classes(comp[0]))
-    for j, a in enumerate(comp[1:]):
-        ascent = j % 2 == 1
-        classes = _descent_classes(a)
-        nxt = {}
-        for left, lc in counts.items():
-            for right, rc in classes:
-                if ascent:
-                    key = left[:-1] + (left[-1] + right[0],) + right[1:]
-                else:
-                    key = left + right
-                nxt[key] = nxt.get(key, 0) + lc * rc
-        counts = nxt
-    return tuple(counts.items())
+    return _expansion(comp, "L")
 
 
 def n_basis_element(comp):
     """The N element of a composition, expanded in the fundamental basis."""
     return QSymElement._trusted("L", dict(nbasis_in_fundamental(comp)))
-
-
-# ---------------------------------------------------------------------------
-# the N basis in the monomial basis
-
-
-@lru_cache(maxsize=None)
-def _level_classes(a):
-    """Types of the ordered set partitions of an a-element antichain, with
-    their counts: each composition c of a with the multinomial a!/prod c_i!."""
-    out = []
-    for comp in compositions(a):
-        count = factorial(a)
-        for part in comp:
-            count //= factorial(part)
-        out.append((comp, count))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -185,28 +389,10 @@ def nbasis_in_monomial(comp):
     j + 1, strictly across a descent (even j) and weakly across an ascent
     (odd j), so a level holds elements of one antichain, except that across
     an ascent the last level of antichain j may share its value with the
-    first level of antichain j + 1.  Folding the per-block level classes
-    left to right therefore concatenates their types, and across an ascent
-    also merges the touching parts.
+    first level of antichain j + 1.  So the expansion is the product of the
+    per-block level classes with separators d, a + d, d, ...
     """
-    comp = as_composition(comp)
-    if not comp:
-        return (((), 1),)
-    counts = dict(_level_classes(comp[0]))
-    for j, a in enumerate(comp[1:]):
-        weak = j % 2 == 1
-        classes = _level_classes(a)
-        nxt = {}
-        for left, lc in counts.items():
-            for right, rc in classes:
-                ways = lc * rc
-                key = left + right
-                nxt[key] = nxt.get(key, 0) + ways
-                if weak:
-                    key = left[:-1] + (left[-1] + right[0],) + right[1:]
-                    nxt[key] = nxt.get(key, 0) + ways
-        counts = nxt
-    return tuple(counts.items())
+    return _expansion(comp, "M")
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +405,8 @@ def nl_ascent_run_rows(n):
     lengths alpha, and terms is nbasis_in_fundamental(alpha), shared with
     that table.  Keyed by ascent-run compositions the N to L matrix has unit
     diagonal and is upper unitriangular in this order, so each row has
-    coefficient 1 on its pivot and no later row has that term.
+    coefficient 1 on its pivot and no later row has that term.  Only
+    nl_unitriangular_matrix reads it; no conversion does.
     """
     return tuple(
         (alpha, rho_to_runs(alpha), nbasis_in_fundamental(alpha))
@@ -227,44 +414,8 @@ def nl_ascent_run_rows(n):
     )
 
 
-def _peel_degree(residual, n, denom):
-    """L to N for one homogeneous degree n >= 1, by an integer peel.
-
-    residual maps run compositions of weight n to int numerators over
-    denom, and is consumed.  The rows of the pivot table are peeled in
-    order: the residual's numerator on a row's pivot is that row's N
-    numerator, and the row is subtracted.  Every step stays in ints, and
-    each output coefficient is divided by denom once.
-    """
-    out = {}
-    for alpha, pivot, row in nl_ascent_run_rows(n):
-        if not residual:
-            break
-        coeff = residual.get(pivot)
-        if not coeff:
-            continue
-        out[alpha] = Fraction(coeff, denom)
-        for c, count in row:
-            value = residual.get(c, 0) - coeff * count
-            if value:
-                residual[c] = value
-            else:
-                del residual[c]
-    if residual:
-        raise AssertionError("triangular solve left a nonzero residual")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # conversion
-
-# the integer expansion tables of the conversions made term by term
-_TERMWISE = {
-    ("M", "L"): _monomial_in_fundamental,
-    ("L", "M"): _fundamental_in_monomial,
-    ("N", "L"): nbasis_in_fundamental,
-    ("N", "M"): nbasis_in_monomial,
-}
 
 
 def _scaled(element):
@@ -278,38 +429,46 @@ def _scaled(element):
     return denom, {c: v.numerator * (denom // v.denominator) for c, v in terms.items()}
 
 
+def _in_basis(vec, n, source, target):
+    """A degree-n numerator vector of basis source rewritten in basis
+    target, 'M' or 'L'; vec may be consumed."""
+    if source == "N":
+        return _horner(vec, n, target)
+    if source != target:
+        _subset_sums(vec, add if target == "M" else sub)
+    return vec
+
+
 def _numerators_in(element, target):
     """The element in basis target ('M' or 'L') as (D, {comp: int
-    numerator}), expanded term by term through the integer tables."""
+    numerator}), one vector routine per degree."""
     denom, scaled = _scaled(element)
     if element.basis == target:
         return denom, scaled
-    table = _TERMWISE[element.basis, target]
-    out = {}
-    for comp, coeff in scaled.items():
-        for beta, factor in table(comp):
-            out[beta] = out.get(beta, 0) + coeff * factor
+    out = {(): scaled[()]} if () in scaled else {}
+    for n, vec in _vectors(scaled).items():
+        _named(_in_basis(vec, n, element.basis, target), n, out)
     return denom, out
 
 
 def _to_nbasis(element):
     """An element in the N basis, from its L numerators over one
-    denominator D, peeled degree by degree.  Each degree is divided through
-    by g = gcd(D, its numerators), so it is peeled over D // g, the lcm of
-    its reduced L denominators.  The scalar part is the same in every basis
-    and passes through unchanged."""
-    denom, in_l = _numerators_in(element, "L")
-    by_degree = {}
-    for c, v in in_l.items():
-        if v and c:
-            by_degree.setdefault(weight(c), {})[c] = v
+    denominator D, divided degree by degree.  Each degree is divided through
+    by g = gcd(D, its numerators), so it is solved over D // g, the lcm of
+    its reduced L denominators, and each output coefficient is one
+    Fraction.  The scalar part is the same in every basis and passes
+    through unchanged."""
+    denom, scaled = _scaled(element)
     out = {}
-    if () in element.terms:
+    if () in scaled:
         out[()] = element.terms[()]
-    for n, terms in by_degree.items():
-        g = gcd(denom, *terms.values())
-        residual = {c: v // g for c, v in terms.items()} if g > 1 else terms
-        out.update(_peel_degree(residual, n, denom // g))
+    for n, vec in _vectors(scaled).items():
+        vec = _in_basis(vec, n, element.basis, "L")
+        g = gcd(denom, *vec)
+        if g > 1:
+            vec = [v // g for v in vec]
+        vec, d = _divide(vec, n), denom // g
+        out.update(zip(compress(_mask_compositions(n), vec), (Fraction(v, d) for v in vec if v)))
     return QSymElement._trusted("N", out)
 
 

@@ -167,6 +167,12 @@ def check_structure_constants(max_weight=8):
     start = time.perf_counter()
     failures = []
     pairs = 0
+    # each factor's M expansion, converted once rather than once per pair
+    in_m = {
+        alpha: qsym.convert(QSymElement.single("N", alpha), "M")
+        for w in range(1, max_weight)
+        for alpha in compositions(w)
+    }
     for total in range(2, max_weight + 1):
         for wa in range(1, total):
             for alpha in compositions(wa):
@@ -182,10 +188,7 @@ def check_structure_constants(max_weight=8):
                             failures.append(f"bad constant at {alpha} * {beta}")
                         if weight(nu) != total or rank(nu) != rank(alpha) + rank(beta):
                             failures.append(f"grading fails at {alpha} * {beta}")
-                    oracle = qsym.mul(
-                        qsym.convert(QSymElement.single("N", alpha), "M"),
-                        qsym.convert(QSymElement.single("N", beta), "M"),
-                    )
+                    oracle = qsym.mul(in_m[alpha], in_m[beta])
                     if qsym.convert(product, "M") != oracle:
                         failures.append(f"oracle mismatch at {alpha} * {beta}")
     return _result(

@@ -278,6 +278,21 @@ def test_drop_zero_parts_rejects_non_int_parts(parts):
         comp.drop_zero_parts(parts)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: comp.as_permutation([1.5, 2.9, "3"]),
+        lambda: comp.as_ordered_partition([[1.5, True], ["3"]]),
+        lambda: comp.as_set_partition([[1.5, True], ["3"]]),
+    ],
+    ids=["permutation", "ordered-partition", "set-partition"],
+)
+def test_python_constructors_reject_non_int_entries(build):
+    # int() would read these as (1, 2, 3) and ({1}, {3})
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_drop_zero_parts_drops_zeros_and_rejects_negatives():
     assert comp.drop_zero_parts((2, 0)) == (2,)
     assert comp.drop_zero_parts((0, 1, 0, 3)) == (1, 3)

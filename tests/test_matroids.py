@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 import _linalg_oracle as linalg
-from _matroid_oracle import qsym_of_matroid_by_extensions
+from _matroid_oracle import qsym_of_matroid_by_extensions, qsym_of_matroid_by_flags
 from nqsym import compositions as comp
 from nqsym import matroids as mat
 from nqsym import qsym
@@ -286,6 +286,15 @@ def test_incremental_deletion_check_matches_exchange_valid():
 def test_fast_path_matches_extensions_on_every_small_matroid():
     for m in _labelled_matroids(5):
         assert mat.qsym_of_matroid(m) == qsym_of_matroid_by_extensions(m), m
+
+
+def test_fast_path_matches_flag_definition():
+    for m in _labelled_matroids(5):
+        assert mat.qsym_of_matroid(m) == qsym_of_matroid_by_flags(m), m
+    for n in range(7):
+        for r in range(n + 1):
+            m = uniform(r, n)
+            assert mat.qsym_of_matroid(m) == qsym_of_matroid_by_flags(m), (r, n)
 
 
 def test_fast_path_matches_extensions_on_uniform_and_rank_two_families():

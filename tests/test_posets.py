@@ -53,6 +53,26 @@ def test_construction_rejects_cycles_and_bad_labels():
         LabeledPoset([0, 1])
 
 
+def test_construction_rejects_non_int_labels():
+    # int() would read this as labels (1, 2) with the cover (1, 2)
+    with pytest.raises(ValidationError):
+        LabeledPoset([1.5, 2.9, True], [(1.2, 2.7)])
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValidationError):
+            LabeledPoset([1, bad])
+        with pytest.raises(ValidationError):
+            LabeledPoset([1, 2], [(1, bad)])
+
+
+def test_relabeled_rejects_non_int_labels():
+    # int() would relabel the chain 1 < 2 as 3 < 1
+    with pytest.raises(ValidationError):
+        relabeled(chain([1, 2]), {1: 3.7, 2: 1.2})
+    with pytest.raises(ValidationError):
+        relabeled(chain([1, 2]), {1.0: 3, 2: 4})
+    assert relabeled(chain([1, 2]), {1: 3, 2: 1}).covers == frozenset({(3, 1)})
+
+
 def test_covers_are_transitive_reduction():
     p = chain([1, 2, 3])
     assert p.covers == frozenset({(1, 2), (2, 3)})

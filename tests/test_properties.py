@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from _qsym_oracle import expand_termwise
+from _qsym_oracle import TERMWISE, expand_termwise, nbasis_by_peel
 from nqsym import qsym
 from nqsym.elements import QSymElement
 
@@ -69,6 +69,23 @@ def test_nbasis_product_equals_mul(a, b):
 @FIXED
 @given(elements(scalar=False) | elements())
 def test_termwise_conversions_match_fraction_oracle(q):
-    for (source, target), table in qsym._TERMWISE.items():
+    for (source, target), table in TERMWISE.items():
         x = qsym.convert(q, source)
         assert qsym.convert(x, target) == expand_termwise(x, table, target)
+
+
+@st.composite
+def dense_fundamental_elements(draw, max_degree=10):
+    """An L element of one degree with a coefficient, possibly zero, on
+    every composition of that degree."""
+    n = draw(st.integers(1, max_degree))
+    comps = qsym.ordered_compositions(n)
+    values = draw(st.lists(coefficients | st.just(0), min_size=len(comps), max_size=len(comps)))
+    return QSymElement("L", zip(comps, values))
+
+
+@FIXED
+@given(dense_fundamental_elements())
+def test_division_matches_pivot_peel(q):
+    if q:
+        assert qsym.convert(q, "N") == nbasis_by_peel(q)

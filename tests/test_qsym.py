@@ -7,7 +7,13 @@ import pytest
 
 import _linalg_oracle as linalg
 from _poset_oracle import induced_ordered_partitions, nbasis_product_poset
-from _qsym_oracle import refinements_by_subsets
+from _qsym_oracle import (
+    TERMWISE,
+    expand_termwise,
+    nbasis_in_fundamental_by_fold,
+    nbasis_in_monomial_by_fold,
+    refinements_by_subsets,
+)
 from nqsym import compositions as comp
 from nqsym import qsym
 from nqsym.elements import QSymElement, TensorElement, format_element
@@ -119,6 +125,21 @@ def test_nbasis_in_fundamental_matches_word_enumeration():
             assert table == enumerated_nbasis_in_fundamental(alpha)
 
 
+def descent_classes(a):
+    """The descent-class vector of a as a dict keyed by run composition."""
+    return dict(zip(qsym._mask_compositions(a), qsym._descent_classes(a)))
+
+
+def test_cut_masks_index_the_compositions():
+    # bit i of a composition's cut mask is set when i + 1 is a partial sum
+    for n in range(1, 11):
+        names = qsym._mask_compositions(n)
+        assert len(names) == 2 ** (n - 1) and set(names) == set(comp.compositions(n))
+        for mask, c in enumerate(names):
+            assert qsym._cut_mask(c) == mask
+            assert {i + 1 for i in range(n - 1) if mask >> i & 1} == comp.composition_to_subset(c)
+
+
 def test_descent_classes_match_brute_force():
     from itertools import permutations
 
@@ -127,7 +148,7 @@ def test_descent_classes_match_brute_force():
         for w in permutations(range(a)):
             c = comp.runs(w)
             expected[c] = expected.get(c, 0) + 1
-        assert dict(qsym._descent_classes(a)) == expected
+        assert descent_classes(a) == expected
 
 
 def test_descent_classes_match_multinomial_route():
@@ -140,7 +161,7 @@ def test_descent_classes_match_multinomial_route():
             "M",
             {d: factorial(a) // prod(factorial(p) for p in d) for d in comp.compositions(a)},
         )
-        assert qsym.convert(power, "L").terms == dict(qsym._descent_classes(a))
+        assert qsym.convert(power, "L").terms == descent_classes(a)
 
 
 def test_descent_classes_count_every_permutation():
@@ -148,9 +169,10 @@ def test_descent_classes_count_every_permutation():
 
     for a in range(1, 14):
         classes = qsym._descent_classes(a)
-        assert sum(count for _, count in classes) == factorial(a)
-        assert all(comp.weight(c) == a and count > 0 for c, count in classes)
+        assert sum(classes) == factorial(a)
+        assert all(count > 0 for count in classes)
         assert len(classes) == 2 ** (a - 1)
+        assert all(comp.weight(c) == a for c in descent_classes(a))
 
 
 def test_convert_examples():
@@ -256,6 +278,32 @@ def test_refinements_match_subset_enumeration():
             table = qsym.refinements_of(alpha)
             oracle = refinements_by_subsets(alpha)
             assert len(table) == len(oracle) and set(table) == set(oracle), alpha
+
+
+def test_subset_sums_match_refinement_tables():
+    for n in range(9):
+        for alpha in comp.compositions(n):
+            for source, target in (("M", "L"), ("L", "M")):
+                single = QSymElement.single(source, alpha)
+                oracle = expand_termwise(single, TERMWISE[source, target], target)
+                assert qsym.convert(single, target) == oracle, (source, alpha)
+
+
+def test_horner_matches_dict_folds():
+    for n in range(10):
+        for alpha in comp.compositions(n):
+            assert as_dict(qsym.nbasis_in_fundamental(alpha)) == dict(
+                nbasis_in_fundamental_by_fold(alpha)
+            ), alpha
+            assert as_dict(qsym.nbasis_in_monomial(alpha)) == dict(
+                nbasis_in_monomial_by_fold(alpha)
+            ), alpha
+
+
+def test_division_inverts_every_nbasis_element():
+    for n in range(11):
+        for alpha in comp.compositions(n):
+            assert qsym.convert(qsym.n_basis_element(alpha), "N").terms == {alpha: 1}, alpha
 
 
 def test_integer_l_expansion_has_integer_n_expansion():
@@ -701,11 +749,9 @@ def test_shared_caches_are_thread_safe():
     expected = qsym.convert(q, "N")
     # every memo table that the M to N route reads
     for table in (
-        qsym.refinements_of,
-        qsym._monomial_in_fundamental,
-        qsym.nl_ascent_run_rows,
-        qsym.nbasis_in_fundamental,
         qsym._descent_classes,
+        qsym._inverse_rows,
+        qsym._mask_compositions,
     ):
         table.cache_clear()
     results = [None] * 8
