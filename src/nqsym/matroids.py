@@ -39,6 +39,12 @@ def _mask_of(subset):
     return m
 
 
+def _int_set(subset, what):
+    """The elements of a subset of the ground set as a frozenset, each
+    checked with json_int, so a bool, float or string is rejected."""
+    return frozenset(json_int(x, what) for x in subset)
+
+
 def _set_of(mask):
     out = []
     i = 1
@@ -132,9 +138,7 @@ class Matroid:
         n = json_int(n, "ground set size")
         if n < 0:
             raise ValidationError("ground set size must be >= 0")
-        base_sets = frozenset(
-            frozenset(json_int(x, "basis element") for x in b) for b in bases
-        )
+        base_sets = frozenset(_int_set(b, "basis element") for b in bases)
         if not base_sets:
             raise ValidationError("a matroid needs at least one basis")
         sizes = {len(b) for b in base_sets}
@@ -204,7 +208,7 @@ class Matroid:
         return max((b & mask).bit_count() for b in self._masks)
 
     def _subset_mask(self, subset, operation):
-        elements = [int(x) for x in subset]
+        elements = _int_set(subset, f"{operation} element")
         if any(not 1 <= x <= self.n for x in elements):
             raise ValidationError(f"{operation} subset must lie in [n]")
         return _mask_of(elements)
@@ -332,7 +336,7 @@ def base_poset(matroid, basis):
     1..n-r the same way.  An exchangeable pair gives a cover from the base
     label up to the cobase label.
     """
-    basis = frozenset(basis)
+    basis = _int_set(basis, "basis element")
     if basis not in matroid.bases:
         raise ValidationError("not a basis of the matroid")
     n = matroid.n
@@ -505,7 +509,7 @@ def rank2_qsym(lam):
 
 def rank2_matroid_from_blocks(blocks):
     """Rank-two matroid whose bases are the pairs across distinct blocks."""
-    blocks = [b for b in map(frozenset, blocks) if b]
+    blocks = [b for b in (_int_set(b, "block element") for b in blocks) if b]
     if len(blocks) < 2:
         raise ValidationError("need at least two parallelism classes")
     elements = sorted(x for b in blocks for x in b)
@@ -762,7 +766,9 @@ def recover_rank2(element):
             raise ValidationError("not a rank-two invariant")
         parts.extend([k] * int(tk))
     lam = tuple(sorted(parts, reverse=True))
-    if len(lam) < 2 or weight(lam) != m or rank2_qsym(lam) != reduced:
+    # u_coordinates proved reduced == sum_k t_k U(m, k), which is
+    # rank2_qsym(lam) once lam has weight m
+    if len(lam) < 2 or weight(lam) != m:
         raise ValidationError("not a rank-two invariant")
     return RankTwoRecovery(n=n, loops=c, coloops=0, lam=lam, case="no-coloops")
 
@@ -970,7 +976,7 @@ def polytope_dim(matroid):
 
 def polytope_edge(matroid, basis1, basis2):
     """True iff the two bases differ by a single exchange."""
-    b1, b2 = frozenset(basis1), frozenset(basis2)
+    b1, b2 = _int_set(basis1, "basis element"), _int_set(basis2, "basis element")
     if b1 not in matroid.bases or b2 not in matroid.bases:
         raise ValidationError("both arguments must be bases")
     return len(b1 ^ b2) == 2

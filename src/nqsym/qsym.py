@@ -33,17 +33,16 @@ block with binomial weights, so the product poset and its induced ordered
 partitions are never built; listing them is an oracle in the tests.
 
 The expansion tables (refinements_of, nbasis_in_fundamental,
-nbasis_in_monomial, structure_constants) return their terms in whatever
-order they are built, since every consumer reads them term by term.
+structure_constants) return their terms in whatever order they are
+built, since every consumer reads them term by term.
 Canonical order (weight, then binary word) is applied only at the output
 boundary, by QSymElement.sorted_terms, to_json and format_element.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from operator import add, sub
 
 from .compositions import (
@@ -232,7 +231,13 @@ def _descent_classes(a):
 @lru_cache(maxsize=None)
 def _level_classes(a):
     """Ordered set partitions of an a-element antichain counted by type, as
-    a vector indexed by cut mask: composition c has a!/prod c_i!."""
+    a vector indexed by cut mask: composition c has a!/prod c_i!.
+
+    These are the level-set types of the P-partitions of one block (Gessel
+    1984).  Across an ascent the last level of a block may share its value
+    with the first level of the next, so the fold into M has the separator
+    a + d there.
+    """
     out = []
     for comp in _mask_compositions(a):
         count = factorial(a)
@@ -341,21 +346,7 @@ def _inverse_rows(n):
 
 
 # ---------------------------------------------------------------------------
-# the N basis in the fundamental and monomial bases
-
-
-def _expansion(comp, target):
-    """The N element of comp in basis target, as (composition, count)
-    pairs: the Horner fold of its unit vector."""
-    comp = as_composition(comp)
-    if not comp:
-        return (((), 1),)
-    n = sum(comp)
-    unit = [0] * (1 << (n - 1))
-    unit[_cut_mask(comp)] = 1
-    out = {}
-    _named(_horner(unit, n, target), n, out)
-    return tuple(out.items())
+# the N basis in the fundamental basis
 
 
 @lru_cache(maxsize=None)
@@ -369,30 +360,14 @@ def nbasis_in_fundamental(comp):
     those of its block segments: concatenated across a descent, with the
     touching parts merged across an ascent.  So the expansion is the
     product of the per-block descent classes with separators d, a, d, ...,
-    without listing the words.
+    without listing the words: the Horner fold of one unit vector.
     """
-    return _expansion(comp, "L")
+    return tuple(convert(QSymElement.single("N", comp), "L").terms.items())
 
 
 def n_basis_element(comp):
     """The N element of a composition, expanded in the fundamental basis."""
     return QSymElement._trusted("L", dict(nbasis_in_fundamental(comp)))
-
-
-@lru_cache(maxsize=None)
-def nbasis_in_monomial(comp):
-    """M-expansion of the N element: counts of the level-set types of its
-    P-partitions (Gessel 1984).
-
-    A P-partition's level sets, listed from the smallest value up, form an
-    ordered set partition of the poset.  Antichain j lies below antichain
-    j + 1, strictly across a descent (even j) and weakly across an ascent
-    (odd j), so a level holds elements of one antichain, except that across
-    an ascent the last level of antichain j may share its value with the
-    first level of antichain j + 1.  So the expansion is the product of the
-    per-block level classes with separators d, a + d, d, ...
-    """
-    return _expansion(comp, "M")
 
 
 @lru_cache(maxsize=None)
@@ -431,17 +406,21 @@ def _scaled(element):
 
 def _in_basis(vec, n, source, target):
     """A degree-n numerator vector of basis source rewritten in basis
-    target, 'M' or 'L'; vec may be consumed."""
+    target; vec may be consumed.  The N basis is a Z-basis, so L to N, the
+    division, keeps the numerators ints over the same denominator."""
     if source == "N":
         return _horner(vec, n, target)
+    if target == "N":
+        return _divide(_in_basis(vec, n, source, "L"), n)
     if source != target:
         _subset_sums(vec, add if target == "M" else sub)
     return vec
 
 
 def _numerators_in(element, target):
-    """The element in basis target ('M' or 'L') as (D, {comp: int
-    numerator}), one vector routine per degree."""
+    """The element in basis target as (D, {comp: int numerator}), one
+    vector routine per degree; the scalar part is the same in every
+    basis."""
     denom, scaled = _scaled(element)
     if element.basis == target:
         return denom, scaled
@@ -451,35 +430,12 @@ def _numerators_in(element, target):
     return denom, out
 
 
-def _to_nbasis(element):
-    """An element in the N basis, from its L numerators over one
-    denominator D, divided degree by degree.  Each degree is divided through
-    by g = gcd(D, its numerators), so it is solved over D // g, the lcm of
-    its reduced L denominators, and each output coefficient is one
-    Fraction.  The scalar part is the same in every basis and passes
-    through unchanged."""
-    denom, scaled = _scaled(element)
-    out = {}
-    if () in scaled:
-        out[()] = element.terms[()]
-    for n, vec in _vectors(scaled).items():
-        vec = _in_basis(vec, n, element.basis, "L")
-        g = gcd(denom, *vec)
-        if g > 1:
-            vec = [v // g for v in vec]
-        vec, d = _divide(vec, n), denom // g
-        out.update(zip(compress(_mask_compositions(n), vec), (Fraction(v, d) for v in vec if v)))
-    return QSymElement._trusted("N", out)
-
-
 def convert(element, target):
     """Rewrite an element in another basis; the function is unchanged."""
     if target not in ("M", "L", "N"):
         raise ValidationError(f"unknown basis tag {target!r}")
     if element.basis == target:
         return element
-    if target == "N":
-        return _to_nbasis(element)
     denom, numerators = _numerators_in(element, target)
     return QSymElement._from_numerators(target, numerators, denom)
 

@@ -130,6 +130,30 @@ def test_internal_constructions_are_exchange_valid():
         mat.rank2_matroid_from_blocks([{1, 2}, set()])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: m.restriction([1.5, 2.9, 3]),
+        lambda m: m.restriction(["3"]),
+        lambda m: m.contraction([True]),
+        lambda m: mat.base_poset(m, [1.0, 2.0]),
+        lambda m: mat.polytope_edge(m, [1.0, 2.0], [1, 3]),
+        lambda m: mat.rank2_matroid_from_blocks([[1.0, 2.0], [3]]),
+    ],
+    ids=[
+        "restriction-float",
+        "restriction-string",
+        "contraction-bool",
+        "base-poset-float",
+        "polytope-edge-float",
+        "blocks-float",
+    ],
+)
+def test_matroid_api_rejects_non_int_elements(call):
+    with pytest.raises(ValidationError):
+        call(uniform(2, 4))
+
+
 def test_base_poset_uniform_is_complete_bipartite():
     u = uniform(2, 4)
     p = mat.base_poset(u, frozenset({1, 2}))
@@ -498,10 +522,14 @@ def test_mod_m2():
 
 
 def test_recover_rank2_round_trip():
-    for n in range(2, 9):
+    for n in range(2, 11):
         for lam in comp.partitions(n, min_parts=2):
-            rec = mat.recover_rank2(mat.rank2_qsym(lam))
-            assert rec.lam == lam and rec.loops == 0
+            f = mat.rank2_qsym(lam)
+            for loops in range(3):
+                # N_(0) is the empty composition, the unit
+                power = QSymElement.single("N", comp.drop_zero_parts((loops,)))
+                rec = mat.recover_rank2(qsym.nbasis_product(f, power))
+                assert rec.lam == lam and rec.loops == loops
 
 
 def test_recover_rank2_with_loops_and_coloops():

@@ -55,6 +55,7 @@ def test_oracle_routes_and_selectors_stay_out_of_the_package():
         (posets, "induced_ordered_partitions"),
         (posets, "nbasis_product_poset"),
         (matroids.Matroid, "is_connected"),
+        (qsym, "nbasis_in_monomial"),
     ]:
         assert not hasattr(module, name), name
     for function, params in [

@@ -51,6 +51,7 @@ def elements(draw, bases="MLN", max_degree=6, max_terms=5, scalar=True):
 @FIXED
 @given(elements())
 def test_convert_round_trips_through_every_basis(q):
+    assert QSymElement.from_json(q.to_json()) == q
     for first in "MLN":
         there = qsym.convert(q, first)
         assert qsym.convert(there, q.basis) == q

@@ -15,7 +15,7 @@ from _qsym_oracle import (
     refinements_by_subsets,
 )
 from nqsym import compositions as comp
-from nqsym import qsym
+from nqsym import elements, qsym
 from nqsym.elements import QSymElement, TensorElement, format_element
 from nqsym.errors import NotDivisibleError, ValidationError
 
@@ -194,7 +194,7 @@ def test_nbasis_in_monomial_matches_route_through_fundamental():
         for alpha in comp.compositions(n):
             n_alpha = QSymElement.single("N", alpha)
             oracle = qsym.convert(qsym.convert(n_alpha, "L"), "M")
-            assert as_dict(qsym.nbasis_in_monomial(alpha)) == oracle.terms, alpha
+            assert qsym.convert(n_alpha, "M").terms == oracle.terms, alpha
 
 
 def assert_normalized(element):
@@ -295,7 +295,7 @@ def test_horner_matches_dict_folds():
             assert as_dict(qsym.nbasis_in_fundamental(alpha)) == dict(
                 nbasis_in_fundamental_by_fold(alpha)
             ), alpha
-            assert as_dict(qsym.nbasis_in_monomial(alpha)) == dict(
+            assert qsym.convert(QSymElement.single("N", alpha), "M").terms == dict(
                 nbasis_in_monomial_by_fold(alpha)
             ), alpha
 
@@ -352,11 +352,11 @@ def sparse_fractional_elements(count=200, seed=71):
     return out
 
 
-def nbasis_by_gauss_jordan(elements):
+def nbasis_by_gauss_jordan(samples):
     """Oracle: N coefficients solved degree by degree from the dense N to L
     system in binary word order, by one Gauss-Jordan elimination per degree
     with the L vector of every element as a target."""
-    in_l = [qsym.convert(q, "L") for q in elements]
+    in_l = [qsym.convert(q, "L") for q in samples]
     solved = [{(): q.terms[()]} if () in q.terms else {} for q in in_l]
     for n in sorted({comp.weight(c) for q in in_l for c in q.terms} - {0}):
         order = qsym.ordered_compositions(n)
@@ -375,30 +375,39 @@ def nbasis_by_gauss_jordan(elements):
 
 
 def test_integer_solve_matches_gauss_jordan(monkeypatch):
-    elements = sparse_fractional_elements()
-    assert sum(not q.is_integral() for q in elements) >= 150
-    assert sum(len(q.degrees()) > 1 and () in q.terms for q in elements) >= 20
-    oracle = nbasis_by_gauss_jordan(elements)
+    samples = sparse_fractional_elements()
+    assert sum(not q.is_integral() for q in samples) >= 150
+    assert sum(len(q.degrees()) > 1 and () in q.terms for q in samples) >= 20
+    oracle = nbasis_by_gauss_jordan(samples)
     divisions = []
 
     def fraction(numerator, denominator):
         divisions.append(denominator)
         return Fraction(numerator, denominator)
 
-    monkeypatch.setattr(qsym, "Fraction", fraction)
-    for q, expected in zip(elements, oracle):
+    def spied(func, *args):
+        """func(*args), recording the denominator of every Fraction that
+        the element builders make meanwhile."""
         divisions.clear()
-        in_n = qsym.convert(q, "N")
+        with monkeypatch.context() as patch:
+            patch.setattr(elements, "Fraction", fraction)
+            return func(*args)
+
+    for q, expected in zip(samples, oracle):
+        in_n = spied(qsym.convert, q, "N")
         assert in_n == expected
         assert_normalized(in_n)
-        # one division per output term, by the lcm of its degree's denominators
-        in_l = qsym.convert(q, "L")
-        scale = {
-            n: lcm(*(v.denominator for c, v in in_l.terms.items() if comp.weight(c) == n))
-            for n in in_l.degrees()
-        }
-        assert sorted(divisions) == sorted(scale[comp.weight(c)] for c in in_n.terms if c)
+        # one division per nonzero output term, by the common denominator D
+        # of the element's coefficients, and none when D is 1
+        denom = lcm(*(v.denominator for v in q.terms.values()))
+        assert divisions == ([denom] * len(in_n.terms) if denom > 1 else [])
         assert qsym.convert(in_n, q.basis) == q
+    # an integral tensor converts with no Fraction at all
+    ones = QSymElement("N", {c: 1 for c in comp.compositions(8)})
+    delta = qsym.coproduct_monomial(ones)
+    assert len(delta.terms) == 704
+    assert spied(qsym.tensor_convert, delta, "N").terms
+    assert divisions == []
 
 
 def test_transition_matrix_n2():
