@@ -41,8 +41,13 @@ def _mask_of(subset):
 
 def _int_set(subset, what):
     """The elements of a subset of the ground set as a frozenset, each
-    checked with json_int, so a bool, float or string is rejected."""
-    return frozenset(json_int(x, what) for x in subset)
+    checked with json_int, so a bool, float or string is rejected, and so is
+    a subset that is not a collection at all."""
+    try:
+        elements = iter(subset)
+    except TypeError:
+        raise ValidationError(f"expected a set of {what}s, got {subset!r}") from None
+    return frozenset(json_int(x, what) for x in elements)
 
 
 def _set_of(mask):
@@ -363,36 +368,54 @@ def _basis_type_counts(rank, partners):
     The base elements are bits 0..rank-1 (rank >= 1), and partners lists,
     for each cobase element, the mask of base bits it can exchange into.  A
     cobase element may be placed only once all its partners are placed;
-    blocks strictly alternate sides starting with the base side.  Each call
-    places one base block and then one cobase block.  Placing every
-    remaining base element frees every remaining cobase element, which then
-    has to form the last block, so that choice is counted at once.  Returns
-    a dict from type composition to count.
+    blocks strictly alternate sides starting with the base side.  Returns a
+    dict from type composition to count.
+
+    An unplaced cobase element is blocked while a partner is still unplaced;
+    which elements are blocked depends on the unplaced base mask alone, so
+    blocked[mask] counts them, one table per shape.  The other unplaced
+    cobase elements are released (one without partners is released from
+    the start): each may join any later cobase block, so they are
+    interchangeable in every continuation, and a node is just (unplaced
+    base mask, number of released elements), with the number of ways to
+    reach it.  Each call places one proper base block sub; the pool is then
+    the released elements plus those whose last partner was in sub, and a
+    cobase block of y >= 1 of them is chosen in comb(pool, y) ways, so no
+    cobase subset is listed.  Placing every remaining base element releases
+    every remaining cobase element, which then has to form the last block,
+    so that choice is counted at once.
     """
     counts = {}
-    pairs = [(1 << i, pmask) for i, pmask in enumerate(partners)]
+    # ors[mask] is the set of cobase elements with a partner in mask, built
+    # by doubling over the base bits.
+    ors = [0]
+    for i in range(rank):
+        bit = 1 << i
+        col = 0
+        for j, pmask in enumerate(partners):
+            if pmask & bit:
+                col |= 1 << j
+        ors += [o | col for o in ors]
+    blocked = [o.bit_count() for o in ors]
 
-    def rec(rem_base, rem_cob, sizes):
+    def rec(rem_base, free, sizes, ways):
         k = rem_base.bit_count()
-        last = sizes + (k, rem_cob.bit_count()) if rem_cob else sizes + (k,)
-        counts[last] = counts.get(last, 0) + 1
-        if not rem_cob:
+        waiting = free + blocked[rem_base]
+        last = sizes + (k, waiting) if waiting else sizes + (k,)
+        counts[last] = counts.get(last, 0) + ways
+        if not waiting:
             return
         sub = (rem_base - 1) & rem_base
         while sub:
             left = rem_base ^ sub
-            avail = 0
-            for bit, pmask in pairs:
-                if rem_cob & bit and not pmask & left:
-                    avail |= bit
+            pool = waiting - blocked[left]
             head = sizes + (sub.bit_count(),)
-            cob = avail
-            while cob:
-                rec(left, rem_cob ^ cob, head + (cob.bit_count(),))
-                cob = (cob - 1) & avail
+            for y in range(1, pool + 1):
+                rec(left, pool - y, head + (y,), ways * comb(pool, y))
             sub = (sub - 1) & rem_base
 
-    rec((1 << rank) - 1, (1 << len(partners)) - 1, ())
+    full = (1 << rank) - 1
+    rec(full, len(partners) - blocked[full], (), 1)
     return counts
 
 
@@ -403,7 +426,11 @@ def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
     A basis's type counts depend only on its rank and on the multiset of its
     cobase elements' partner masks, written over the base positions 0..r-1
     in ground order; so the bases are grouped by that shape, and each shape
-    is interleaved once and weighted by the number of its bases.  Loops are
+    is interleaved once and weighted by the number of its bases.  Within a
+    shape only the base blocks are listed: a cobase element is blocked
+    while one of its partners is unplaced and released after, and released
+    elements are interchangeable, so each cobase block is counted by its
+    size with a binomial weight (see _basis_type_counts).  Loops are
     stripped first and multiplied back in as N[(l,)].
     """
     if matroid.n > limit:

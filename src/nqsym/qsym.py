@@ -40,7 +40,7 @@ boundary, by QSymElement.sorted_terms, to_json and format_element.
 """
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate, compress
 from math import comb, factorial, lcm
 from operator import add, sub
@@ -69,12 +69,31 @@ def fundamental_element(comp, coeff=1):
     return QSymElement.single("L", comp, coeff)
 
 
+def _composition_keyed(table):
+    """The public face of an lru_cached table keyed by compositions.
+
+    Each argument goes through as_composition before the cache lookup, so a
+    list is accepted like the rest of the API and a bad part raises
+    ValidationError, never a bare TypeError from hashing.  cache_info and
+    cache_clear are the table's own.  Callers in this module that already
+    hold composition tuples call the table directly.
+    """
+
+    @wraps(table)
+    def lookup(*comps):
+        return table(*map(as_composition, comps))
+
+    lookup.cache_info = table.cache_info
+    lookup.cache_clear = table.cache_clear
+    return lookup
+
+
 # ---------------------------------------------------------------------------
 # refinements
 
 
 @lru_cache(maxsize=None)
-def refinements_of(comp):
+def _refinements_of(comp):
     """All compositions refining comp, i.e. splitting its parts.
 
     A refinement splits each part independently, so the refinements are the
@@ -87,6 +106,9 @@ def refinements_of(comp):
         pieces = ordered_compositions(part)
         out = [head + piece for head in out for piece in pieces]
     return tuple(out)
+
+
+refinements_of = _composition_keyed(_refinements_of)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +372,7 @@ def _inverse_rows(n):
 
 
 @lru_cache(maxsize=None)
-def nbasis_in_fundamental(comp):
+def _nbasis_in_fundamental(comp):
     """L-expansion of the N element: counts of run compositions over all
     interleavings of the alternately labeled antichain blocks.
 
@@ -363,6 +385,9 @@ def nbasis_in_fundamental(comp):
     without listing the words: the Horner fold of one unit vector.
     """
     return tuple(convert(QSymElement.single("N", comp), "L").terms.items())
+
+
+nbasis_in_fundamental = _composition_keyed(_nbasis_in_fundamental)
 
 
 def n_basis_element(comp):
@@ -384,7 +409,7 @@ def nl_ascent_run_rows(n):
     nl_unitriangular_matrix reads it; no conversion does.
     """
     return tuple(
-        (alpha, rho_to_runs(alpha), nbasis_in_fundamental(alpha))
+        (alpha, rho_to_runs(alpha), _nbasis_in_fundamental(alpha))
         for alpha in sorted(compositions(n), key=triangular_order_key)
     )
 
@@ -502,7 +527,7 @@ def nl_unitriangular_matrix(n):
 
 
 @lru_cache(maxsize=None)
-def quasi_shuffle(left, right):
+def _quasi_shuffle(left, right):
     """Quasi-shuffle of two exponent compositions, as (composition, count) pairs."""
     left, right = as_composition(left), as_composition(right)
     if not left:
@@ -511,16 +536,19 @@ def quasi_shuffle(left, right):
         return ((left, 1),)
     a, b = left[0], right[0]
     counts = {}
-    for comp, k in quasi_shuffle(left[1:], right):
+    for comp, k in _quasi_shuffle(left[1:], right):
         key = (a,) + comp
         counts[key] = counts.get(key, 0) + k
-    for comp, k in quasi_shuffle(left, right[1:]):
+    for comp, k in _quasi_shuffle(left, right[1:]):
         key = (b,) + comp
         counts[key] = counts.get(key, 0) + k
-    for comp, k in quasi_shuffle(left[1:], right[1:]):
+    for comp, k in _quasi_shuffle(left[1:], right[1:]):
         key = (a + b,) + comp
         counts[key] = counts.get(key, 0) + k
     return tuple(counts.items())
+
+
+quasi_shuffle = _composition_keyed(_quasi_shuffle)
 
 
 def mul(q1, q2):
@@ -533,13 +561,13 @@ def mul(q1, q2):
             scale = cg * cd
             if not scale:
                 continue
-            for comp, k in quasi_shuffle(gamma, delta):
+            for comp, k in _quasi_shuffle(gamma, delta):
                 out[comp] = out.get(comp, 0) + scale * k
     return QSymElement._from_numerators("M", out, d1 * d2)
 
 
 @lru_cache(maxsize=None)
-def structure_constants(left, right):
+def _structure_constants(left, right):
     """Expansion of N_left * N_right as (composition, count) pairs.
 
     N_left * N_right counts the induced ordered partitions of the relabeled
@@ -591,6 +619,9 @@ def structure_constants(left, right):
     return tuple(counts.items())
 
 
+structure_constants = _composition_keyed(_structure_constants)
+
+
 def mul_nbasis(left, right):
     """Product of two N basis vectors, expanded in the N basis."""
     return QSymElement._trusted("N", dict(structure_constants(left, right)))
@@ -606,7 +637,7 @@ def nbasis_product(q1, q2):
     for a, ca in n1.items():
         for b, cb in n2.items():
             scale = ca * cb
-            for comp, k in structure_constants(a, b):
+            for comp, k in _structure_constants(a, b):
                 out[comp] = out.get(comp, 0) + scale * k
     return QSymElement._from_numerators("N", out, d1 * d2)
 
@@ -694,7 +725,7 @@ def divide_by_pure_power(element, s):
         else:
             raise NotDivisibleError("element is not divisible by the pure power")
         coeff = quotient[beta] = residual[lead]
-        for comp, k in structure_constants((s,), beta):
+        for comp, k in _structure_constants((s,), beta):
             value = residual.get(comp, 0) - coeff * k
             if value:
                 residual[comp] = value

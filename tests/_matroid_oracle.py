@@ -7,7 +7,9 @@ those for which one basis minimizes f(B).  Grouping the weightings by
 their level sets gives a sum over flags in the M basis.  F(M) is also the
 sum over the bases of the generating function of each exchange poset;
 listing every linear extension of every base poset gives a second
-reference.  Both are converted to the N basis.
+reference.  Both are converted to the N basis.  The type counts of one
+basis shape have a third reference, which lists every cobase block as a
+subset instead of counting it by its size.
 """
 
 from collections import Counter
@@ -65,3 +67,39 @@ def qsym_of_matroid_by_flags(matroid):
                 for comp, count in flags[lower].items():
                     flags[upper][comp + (size,)] += count
     return convert(QSymElement("M", flags[full]), "N")
+
+
+def basis_type_counts_by_subsets(rank, partners):
+    """The type counts of matroids._basis_type_counts, with every cobase
+    block listed as a subset of the cobase elements whose partners are all
+    placed.
+
+    Each call records the interleaving that places every remaining base
+    element and then every remaining cobase element, and then places one
+    proper base block and one nonempty cobase block in every possible way.
+    """
+    counts = {}
+    pairs = [(1 << i, pmask) for i, pmask in enumerate(partners)]
+
+    def rec(rem_base, rem_cob, sizes):
+        k = rem_base.bit_count()
+        last = sizes + (k, rem_cob.bit_count()) if rem_cob else sizes + (k,)
+        counts[last] = counts.get(last, 0) + 1
+        if not rem_cob:
+            return
+        sub = (rem_base - 1) & rem_base
+        while sub:
+            left = rem_base ^ sub
+            avail = 0
+            for bit, pmask in pairs:
+                if rem_cob & bit and not pmask & left:
+                    avail |= bit
+            head = sizes + (sub.bit_count(),)
+            cob = avail
+            while cob:
+                rec(left, rem_cob ^ cob, head + (cob.bit_count(),))
+                cob = (cob - 1) & avail
+            sub = (sub - 1) & rem_base
+
+    rec((1 << rank) - 1, (1 << len(partners)) - 1, ())
+    return counts

@@ -6,7 +6,11 @@ from math import comb
 import pytest
 
 import _linalg_oracle as linalg
-from _matroid_oracle import qsym_of_matroid_by_extensions, qsym_of_matroid_by_flags
+from _matroid_oracle import (
+    basis_type_counts_by_subsets,
+    qsym_of_matroid_by_extensions,
+    qsym_of_matroid_by_flags,
+)
 from nqsym import compositions as comp
 from nqsym import matroids as mat
 from nqsym import qsym
@@ -139,6 +143,10 @@ def test_internal_constructions_are_exchange_valid():
         lambda m: mat.base_poset(m, [1.0, 2.0]),
         lambda m: mat.polytope_edge(m, [1.0, 2.0], [1, 3]),
         lambda m: mat.rank2_matroid_from_blocks([[1.0, 2.0], [3]]),
+        lambda m: m.restriction(3),
+        lambda m: m.contraction(3),
+        lambda m: mat.base_poset(m, 3),
+        lambda m: mat.polytope_edge(m, 3, [1, 2]),
     ],
     ids=[
         "restriction-float",
@@ -147,6 +155,10 @@ def test_internal_constructions_are_exchange_valid():
         "base-poset-float",
         "polytope-edge-float",
         "blocks-float",
+        "restriction-int",
+        "contraction-int",
+        "base-poset-int",
+        "polytope-edge-int",
     ],
 )
 def test_matroid_api_rejects_non_int_elements(call):
@@ -319,6 +331,16 @@ def test_fast_path_matches_flag_definition():
         for r in range(n + 1):
             m = uniform(r, n)
             assert mat.qsym_of_matroid(m) == qsym_of_matroid_by_flags(m), (r, n)
+
+
+def test_basis_type_counts_match_subset_enumeration_exhaustively():
+    # every shape of rank <= 3 with <= 4 cobase elements, each of which has
+    # a partner, as qsym_of_matroid builds them for a loopless matroid
+    for rank in range(1, 4):
+        for size in range(5):
+            for partners in itertools.combinations_with_replacement(range(1, 1 << rank), size):
+                expected = basis_type_counts_by_subsets(rank, partners)
+                assert mat._basis_type_counts(rank, partners) == expected, (rank, partners)
 
 
 def test_fast_path_matches_extensions_on_uniform_and_rank_two_families():

@@ -1,16 +1,23 @@
-"""Property tests for the integer conversion and product routes.
+"""Property tests for the integer conversion and product routes and for
+the matroid invariant.
 
 Every test runs under one fixed profile: derandomized, with no example
 database and no deadline, so the suite draws the same examples on every
 run and machine.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from _matroid_oracle import (
+    basis_type_counts_by_subsets,
+    qsym_of_matroid_by_extensions,
+    qsym_of_matroid_by_flags,
+)
 from _qsym_oracle import TERMWISE, expand_termwise, nbasis_by_peel
-from nqsym import qsym
+from nqsym import matroids, qsym
 from nqsym.elements import QSymElement
 
 FIXED = settings(
@@ -90,3 +97,34 @@ def dense_fundamental_elements(draw, max_degree=10):
 def test_division_matches_pivot_peel(q):
     if q:
         assert qsym.convert(q, "N") == nbasis_by_peel(q)
+
+
+@st.composite
+def basis_shapes(draw, max_rank=6, max_cobase=6):
+    """A rank and the partner masks of up to max_cobase cobase elements; a
+    mask may be empty, which makes its element released from the start."""
+    rank = draw(st.integers(1, max_rank))
+    partners = draw(st.lists(st.integers(0, (1 << rank) - 1), max_size=max_cobase))
+    return rank, partners
+
+
+@FIXED
+@given(basis_shapes())
+def test_basis_type_counts_match_subset_enumeration(shape):
+    rank, partners = shape
+    assert matroids._basis_type_counts(rank, partners) == basis_type_counts_by_subsets(
+        rank, partners
+    )
+
+
+@FIXED
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2), st.integers(0, 1))
+def test_invariant_matches_flag_and_extension_definitions(seed, n, loops, coloops):
+    m = matroids.sample_loopless_matroid(random.Random(seed), n)
+    for _ in range(loops):
+        m = m.direct_sum(matroids.uniform(0, 1))
+    for _ in range(coloops):
+        m = m.direct_sum(matroids.uniform(1, 1))
+    f = matroids.qsym_of_matroid(m)
+    assert f == qsym_of_matroid_by_flags(m)
+    assert f == qsym_of_matroid_by_extensions(m)

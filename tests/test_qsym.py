@@ -716,6 +716,27 @@ def test_quasi_shuffle_counts():
     assert dict(qsym.quasi_shuffle((), (3, 1))) == {(3, 1): 1}
 
 
+COMPOSITION_TABLES = [
+    ("nbasis_in_fundamental", [(1, 2)]),
+    ("structure_constants", [(1,), (1,)]),
+    ("quasi_shuffle", [(1,), (2,)]),
+    ("refinements_of", [(2, 1)]),
+]
+
+
+@pytest.mark.parametrize("name, args", COMPOSITION_TABLES, ids=[n for n, _ in COMPOSITION_TABLES])
+def test_composition_tables_accept_lists_and_reject_bad_parts(name, args):
+    table = getattr(qsym, name)
+    assert table(*map(list, args)) == table(*args)
+    for bad in ([1, 0], [1.5], ("2",), [True]):
+        with pytest.raises(ValidationError):
+            table(bad, *args[1:])
+    info = table.cache_info()
+    assert info.currsize >= 1 and info.hits >= 1
+    table.cache_clear()
+    assert table.cache_info().currsize == 0
+
+
 def test_json_and_formatting():
     q = QSymElement("N", {(2, 2): Fraction(1, 2), (1, 1, 1, 1): -3})
     data = q.to_json()
