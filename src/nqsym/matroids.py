@@ -61,8 +61,8 @@ def _set_of(mask):
     return frozenset(out)
 
 
-def exchange_valid(n, base_masks):
-    """Basis exchange axiom on a family of equal-size subsets of [n].
+def exchange_valid(base_masks):
+    """Basis exchange axiom on a family of equal-size subsets.
 
     Checked as a hitting-set condition.  For a basis b1 and e in b1 let
     X(b1, e) = {e} | {f not in b1 : b1 - e + f is a basis}.  The targets
@@ -129,6 +129,31 @@ def _deletion_keeps_exchange(n, trial, removed):
     return True
 
 
+def _partner_masks(bmask, outside, mask_set):
+    """The exchange graph of the basis bmask, one mask per element outside.
+
+    For each bit f of outside, in ascending order, the mask over the base
+    positions i (the bits of bmask, in ascending order) for which
+    bmask - bit_i + f is in mask_set.
+    """
+    removed = []
+    b = bmask
+    while b:
+        bbit = b & -b
+        b ^= bbit
+        removed.append(bmask ^ bbit)
+    partners = []
+    while outside:
+        cbit = outside & -outside
+        outside ^= cbit
+        pmask = 0
+        for i, rest in enumerate(removed):
+            if (rest | cbit) in mask_set:
+                pmask |= 1 << i
+        partners.append(pmask)
+    return partners
+
+
 class Matroid:
     """A matroid on [n] given by its set of bases.
 
@@ -153,7 +178,7 @@ class Matroid:
             if any(not 1 <= x <= n for x in b):
                 raise ValidationError("basis elements must lie in [n]")
         masks = [_mask_of(b) for b in base_sets]
-        if not exchange_valid(n, masks):
+        if not exchange_valid(masks):
             raise ValidationError("base family violates the exchange axiom")
         self._fill(n, masks)
 
@@ -241,43 +266,17 @@ class Matroid:
         amask = self._subset_mask(subset, "contraction")
         return self._minor(amask, ((1 << self.n) - 1) & ~amask)
 
-    def independent_masks(self):
-        seen = set()
-        stack = list(self._masks)
-        while stack:
-            m = stack.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            mm = m
-            while mm:
-                bit = mm & -mm
-                mm ^= bit
-                if (m ^ bit) not in seen:
-                    stack.append(m ^ bit)
-        return seen
-
-    def circuits(self):
-        """Minimal dependent subsets."""
-        independent = self.independent_masks()
-        out = []
-        for mask in range(1, 1 << self.n):
-            if mask in independent:
-                continue
-            mm = mask
-            minimal = True
-            while mm:
-                bit = mm & -mm
-                mm ^= bit
-                if (mask ^ bit) not in independent:
-                    minimal = False
-                    break
-            if minimal:
-                out.append(_set_of(mask))
-        return frozenset(out)
-
     def components(self):
-        """Classes of the relation 'both elements lie in a common circuit'."""
+        """The connected components, sorted by least element.
+
+        They are read off the exchange graph of one basis B, which joins
+        e in B to f outside B when B - e + f is a basis: for any basis its
+        components are those of the matroid (Krogdahl, "The dependence
+        graph for bases in matroids", 1977).  Loops and coloops have no
+        exchange and come out as singletons.
+        """
+        bmask = self._masks[0]
+        outside = ((1 << self.n) - 1) & ~bmask
         parent = list(range(self.n + 1))
 
         def find(x):
@@ -286,12 +285,12 @@ class Matroid:
                 x = parent[x]
             return x
 
-        for circuit in self.circuits():
-            members = sorted(circuit)
-            for a, b in zip(members, members[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+        base = sorted(_set_of(bmask))
+        partners = _partner_masks(bmask, outside, self._mask_set)
+        for f, pmask in zip(sorted(_set_of(outside)), partners):
+            for i, e in enumerate(base):
+                if pmask >> i & 1:
+                    parent[find(e)] = find(f)
         groups = {}
         for x in range(1, self.n + 1):
             groups.setdefault(find(x), []).append(x)
@@ -338,27 +337,22 @@ def base_poset(matroid, basis):
 
     Base elements become the minimal elements and receive the top labels
     n-r+1..n in ascending ground-element order; cobase elements receive
-    1..n-r the same way.  An exchangeable pair gives a cover from the base
-    label up to the cobase label.
+    1..n-r the same way.  An exchangeable pair (see _partner_masks) gives a
+    cover from the base label up to the cobase label.
     """
     basis = _int_set(basis, "basis element")
     if basis not in matroid.bases:
         raise ValidationError("not a basis of the matroid")
     n = matroid.n
-    base_sorted = sorted(basis)
-    cob_sorted = [x for x in range(1, n + 1) if x not in basis]
-    label = {}
-    for i, x in enumerate(cob_sorted):
-        label[x] = i + 1
-    for i, x in enumerate(base_sorted):
-        label[x] = len(cob_sorted) + i + 1
     bmask = _mask_of(basis)
-    relations = []
-    for b in base_sorted:
-        removed = bmask ^ (1 << (b - 1))
-        for c in cob_sorted:
-            if (removed | (1 << (c - 1))) in matroid._mask_set:
-                relations.append((label[b], label[c]))
+    partners = _partner_masks(bmask, ((1 << n) - 1) & ~bmask, matroid._mask_set)
+    top = n - len(basis)
+    relations = [
+        (top + i + 1, j + 1)
+        for j, pmask in enumerate(partners)
+        for i in range(len(basis))
+        if pmask >> i & 1
+    ]
     return LabeledPoset(range(1, n + 1), relations)
 
 
@@ -425,13 +419,15 @@ def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
     Base and cobase blocks of each exchange poset are interleaved directly.
     A basis's type counts depend only on its rank and on the multiset of its
     cobase elements' partner masks, written over the base positions 0..r-1
-    in ground order; so the bases are grouped by that shape, and each shape
-    is interleaved once and weighted by the number of its bases.  Within a
-    shape only the base blocks are listed: a cobase element is blocked
-    while one of its partners is unplaced and released after, and released
-    elements are interchangeable, so each cobase block is counted by its
-    size with a binomial weight (see _basis_type_counts).  Loops are
-    stripped first and multiplied back in as N[(l,)].
+    in ground order (its exchange graph, from _partner_masks, which
+    base_poset and Matroid.components read too); so the bases are grouped
+    by that shape, and each shape is interleaved once and weighted by the
+    number of its bases.  Within a shape only the base blocks are listed: a
+    cobase element is blocked while one of its partners is unplaced and
+    released after, and released elements are interchangeable, so each
+    cobase block is counted by its size with a binomial weight (see
+    _basis_type_counts).  Loops are stripped first and multiplied back in
+    as N[(l,)].
     """
     if matroid.n > limit:
         raise ResourceLimitError(
@@ -449,23 +445,8 @@ def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
     mask_set = matroid._mask_set
     shapes = {}
     for bmask in matroid._masks:
-        base_bits = []
-        b = bmask
-        while b:
-            bbit = b & -b
-            b ^= bbit
-            base_bits.append(bbit)
-        partners = []
-        c = full & ~bmask
-        while c:
-            cbit = c & -c
-            c ^= cbit
-            pmask = 0
-            for i, bbit in enumerate(base_bits):
-                if ((bmask ^ bbit) | cbit) in mask_set:
-                    pmask |= 1 << i
-            partners.append(pmask)
-        key = (len(base_bits), tuple(sorted(partners)))
+        partners = _partner_masks(bmask, full & ~bmask, mask_set)
+        key = (bmask.bit_count(), tuple(sorted(partners)))
         shapes[key] = shapes.get(key, 0) + 1
     acc = {}
     for (rank, partners), multiplicity in shapes.items():
@@ -986,12 +967,12 @@ def verify_polytope_decomposition(parent, parts, certificates):
         equality = {b for b in cert_parent.bases if len(b & cert.subset) == 1}
         if le_expected & ge_expected != equality:
             return False, f"split {idx}: intersection is not the equality set"
-        if not exchange_valid(parent.n, [_mask_of(b) for b in equality]):
+        if not exchange_valid([_mask_of(b) for b in equality]):
             return False, f"split {idx}: equality set is not a matroid"
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             common = parts[i].bases & parts[j].bases
-            if common and not exchange_valid(parent.n, [_mask_of(b) for b in common]):
+            if common and not exchange_valid([_mask_of(b) for b in common]):
                 return False, f"parts {i} and {j} intersect in a non-matroid"
     return True, None
 

@@ -49,6 +49,7 @@ from .compositions import (
     as_composition,
     binary_word,
     compositions,
+    json_int,
     rank,
     rho_to_runs,
     runs_to_rho,
@@ -705,6 +706,7 @@ def divide_by_pure_power(element, s):
     beta produces raises NotDivisibleError; the residual reaching zero
     proves the division exact.
     """
+    s = json_int(s, "the divisor exponent")
     if s < 1:
         raise ValidationError("the divisor exponent must be >= 1")
     q = convert(element, "N")

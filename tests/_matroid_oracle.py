@@ -10,14 +10,94 @@ listing every linear extension of every base poset gives a second
 reference.  Both are converted to the N basis.  The type counts of one
 basis shape have a third reference, which lists every cobase block as a
 subset instead of counting it by its size.
+
+The exchange graph of a basis, which the package reads for F, the base
+posets and the components, has references here as well: the base poset
+built label by label, and the components as the classes of "both lie in a
+common circuit", with the circuits found among all 2^n subsets.
 """
 
 from collections import Counter
 
 from nqsym.elements import QSymElement
 from nqsym.matroids import base_poset
-from nqsym.posets import qsym_of_poset
+from nqsym.posets import LabeledPoset, qsym_of_poset
 from nqsym.qsym import convert
+
+
+def independent_masks(matroid):
+    """Every independent set of the matroid as a bitmask: the subsets of
+    the bases."""
+    seen = set()
+    stack = [sum(1 << (x - 1) for x in b) for b in matroid.bases]
+    while stack:
+        m = stack.pop()
+        if m in seen:
+            continue
+        seen.add(m)
+        mm = m
+        while mm:
+            bit = mm & -mm
+            mm ^= bit
+            if (m ^ bit) not in seen:
+                stack.append(m ^ bit)
+    return seen
+
+
+def circuits(matroid):
+    """The minimal dependent subsets, found among all 2^n subsets."""
+    independent = independent_masks(matroid)
+    out = []
+    for mask in range(1, 1 << matroid.n):
+        if mask in independent:
+            continue
+        if all((mask ^ 1 << i) in independent for i in range(matroid.n) if mask >> i & 1):
+            out.append(frozenset(i + 1 for i in range(matroid.n) if mask >> i & 1))
+    return frozenset(out)
+
+
+def components_by_circuits(matroid):
+    """The classes of the relation 'both elements lie in a common circuit',
+    each element in its own class to start with, sorted by least element."""
+    parent = list(range(matroid.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for circuit in circuits(matroid):
+        members = sorted(circuit)
+        for a, b in zip(members, members[1:]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    groups = {}
+    for x in range(1, matroid.n + 1):
+        groups.setdefault(find(x), []).append(x)
+    return tuple(frozenset(g) for g in sorted(groups.values(), key=lambda g: g[0]))
+
+
+def base_poset_by_definition(matroid, basis):
+    """The exchange poset of a basis built label by label: cobase elements
+    get 1..n-r and base elements n-r+1..n, each side in ascending ground
+    order, and b covers c when basis - b + c is a basis."""
+    basis = frozenset(basis)
+    n = matroid.n
+    base_sorted = sorted(basis)
+    cob_sorted = [x for x in range(1, n + 1) if x not in basis]
+    label = {}
+    for i, x in enumerate(cob_sorted):
+        label[x] = i + 1
+    for i, x in enumerate(base_sorted):
+        label[x] = len(cob_sorted) + i + 1
+    relations = [
+        (label[b], label[c])
+        for b in base_sorted
+        for c in cob_sorted
+        if ((basis - {b}) | {c}) in matroid.bases
+    ]
+    return LabeledPoset(range(1, n + 1), relations)
 
 
 def qsym_of_matroid_by_extensions(matroid):

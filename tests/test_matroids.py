@@ -7,7 +7,10 @@ import pytest
 
 import _linalg_oracle as linalg
 from _matroid_oracle import (
+    base_poset_by_definition,
     basis_type_counts_by_subsets,
+    circuits,
+    components_by_circuits,
     qsym_of_matroid_by_extensions,
     qsym_of_matroid_by_flags,
 )
@@ -60,8 +63,8 @@ def test_loops_coloops_components():
 
 def test_circuits_of_uniform():
     u = uniform(2, 4)
-    assert all(len(c) == 3 for c in u.circuits())
-    assert len(u.circuits()) == comb(4, 3)
+    assert all(len(c) == 3 for c in circuits(u))
+    assert len(circuits(u)) == comb(4, 3)
 
 
 def _relabeled(sets, ground):
@@ -127,7 +130,7 @@ def test_internal_constructions_are_exchange_valid():
         mat.rank2_matroid_from_blocks([{1}, {2}, {3}, {4}]),
     ]
     for m in built:
-        assert mat.exchange_valid(m.n, m._masks)
+        assert mat.exchange_valid(m._masks)
         assert Matroid(m.n, m.bases) == m
     # one nonempty block has no cross pairs, so no bases
     with pytest.raises(ValidationError):
@@ -254,7 +257,7 @@ def test_exchange_valid_matches_pairwise_oracle_exhaustively():
     families = 0
     for n in range(6):
         for masks in _equal_size_families(n):
-            assert mat.exchange_valid(n, masks) == _pairwise_exchange_valid(masks), masks
+            assert mat.exchange_valid(masks) == _pairwise_exchange_valid(masks), masks
             families += 1
     assert families == 2229
     # the labelled matroids on [n], n <= 5: 1, 2, 5, 16, 68, 406
@@ -277,7 +280,7 @@ def test_exchange_valid_matches_pairwise_oracle_on_random_families():
                 density = rng.random()
                 masks = [b for b in subsets if rng.random() < density] or subsets[:1]
             verdict = _pairwise_exchange_valid(masks)
-            assert mat.exchange_valid(n, masks) == verdict, (n, masks)
+            assert mat.exchange_valid(masks) == verdict, (n, masks)
             verdicts[verdict] += 1
     assert min(verdicts.values()) >= 50, verdicts
 
@@ -298,7 +301,7 @@ def _sampler_walk(rng, n):
         union = 0
         for b in trial:
             union |= b
-        if union == (1 << n) - 1 and mat.exchange_valid(n, trial):
+        if union == (1 << n) - 1 and mat.exchange_valid(trial):
             walk.append(trial)
     return walk
 
@@ -313,7 +316,7 @@ def test_incremental_deletion_check_matches_exchange_valid():
             for family in walk:
                 for removed in family if len(family) > 1 else ():
                     trial = family - {removed}
-                    verdict = mat.exchange_valid(n, trial)
+                    verdict = mat.exchange_valid(trial)
                     assert mat._deletion_keeps_exchange(n, trial, removed) == verdict, (n, seed)
                     verdicts[verdict] += 1
     assert min(verdicts.values()) >= 50, verdicts
@@ -331,6 +334,42 @@ def test_fast_path_matches_flag_definition():
         for r in range(n + 1):
             m = uniform(r, n)
             assert mat.qsym_of_matroid(m) == qsym_of_matroid_by_flags(m), (r, n)
+
+
+def _relabeled_matroid(m, rng):
+    """m with its elements permuted at random."""
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    return Matroid.from_masks(
+        m.n, [sum(1 << perm[i] for i in range(m.n) if b >> i & 1) for b in m._masks]
+    )
+
+
+def test_components_match_circuit_oracle():
+    for m in _labelled_matroids(5):
+        expected = components_by_circuits(m)
+        assert m.components() == expected, m
+        assert mat.polytope_dim(m) == m.n - len(expected), m
+    rng = random.Random(41)
+    for trial in range(80):
+        m = mat.sample_loopless_matroid(rng, rng.randint(1, 9))
+        if trial % 2:
+            # two sampled summands, interleaved by a relabelling
+            m = m.direct_sum(mat.sample_loopless_matroid(rng, rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 2)):
+            m = m.direct_sum(uniform(0, 1))
+        for _ in range(rng.randint(0, 1)):
+            m = m.direct_sum(uniform(1, 1))
+        m = _relabeled_matroid(m, rng)
+        assert m.components() == components_by_circuits(m), m
+
+
+def test_base_poset_matches_label_by_label_construction():
+    for m in _labelled_matroids(5):
+        for basis in m.bases:
+            poset = mat.base_poset(m, basis)
+            expected = base_poset_by_definition(m, basis)
+            assert poset == expected and poset.covers == expected.covers, (m, basis)
 
 
 def test_basis_type_counts_match_subset_enumeration_exhaustively():
@@ -833,4 +872,4 @@ def test_sampler_reproducible_and_valid():
     for seed in range(25):
         m = mat.sample_loopless_matroid(random.Random(seed), 7)
         assert not m.loops()
-        assert mat.exchange_valid(m.n, m._masks)
+        assert mat.exchange_valid(m._masks)

@@ -54,11 +54,14 @@ def test_oracle_routes_and_selectors_stay_out_of_the_package():
         (posets, "disjoint_sum_relabeled"),
         (posets, "induced_ordered_partitions"),
         (posets, "nbasis_product_poset"),
+        (matroids.Matroid, "circuits"),
+        (matroids.Matroid, "independent_masks"),
         (matroids.Matroid, "is_connected"),
         (qsym, "nbasis_in_monomial"),
     ]:
         assert not hasattr(module, name), name
     for function, params in [
+        (matroids.exchange_valid, ["base_masks"]),
         (matroids.qsym_of_matroid, ["matroid", "limit"]),
         (qsym.nl_unitriangular_matrix, ["n"]),
         (posets.alternating_antichain_labels, ["comp"]),

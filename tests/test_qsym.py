@@ -632,6 +632,13 @@ def test_divide_by_pure_power():
         assert qsym.divide_by_pure_power(product, s) == qsym.convert(q, "N")
 
 
+@pytest.mark.parametrize("s", ["2", 2.0, True], ids=["string", "float", "bool"])
+def test_divide_by_pure_power_rejects_non_int_exponent(s):
+    for element in (QSymElement.single("N", (2, 1)), QSymElement.zero("N")):
+        with pytest.raises(ValidationError):
+            qsym.divide_by_pure_power(element, s)
+
+
 def _divide_by_gauss_jordan(element, s):
     """Oracle: N_(s) * p == element solved rank by rank as a linear system
     (the N product adds ranks), then checked by multiplying back."""
