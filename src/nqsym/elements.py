@@ -26,7 +26,7 @@ def _norm_coeff(value):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValidationError(f"coefficients must be exact rationals, got {type(value)}")
 
@@ -170,7 +170,7 @@ class QSymElement:
         return QSymElement._trusted(self.basis, {c: -v for c, v in self.terms.items()})
 
     def scale(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
+        if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
             raise ValidationError(f"scalars must be exact rationals, got {type(scalar)}")
         return QSymElement._trusted(
             self.basis, {c: v * scalar for c, v in self.terms.items()}

@@ -202,6 +202,7 @@ class Matroid:
 
     @classmethod
     def uniform(cls, r, n):
+        r, n = json_int(r, "uniform rank"), json_int(n, "ground set size")
         if not 0 <= r <= n:
             raise ValidationError("uniform matroid needs 0 <= r <= n")
         return cls.from_masks(n, [_mask_of(c) for c in combinations(range(1, n + 1), r)])
@@ -470,6 +471,7 @@ def loops_coloops_from_qsym(element):
 
 def T_vec(n, k):
     """(1/2) N_(2,n-2) plus binomial(k-1, j) N_(1,j,1,n-2-j) summed over j >= 1."""
+    n, k = json_int(n, "T vector degree"), json_int(k, "T vector index")
     if n < 2 or not 1 <= k <= n - 1:
         raise ValidationError("T vector needs n >= 2 and 1 <= k <= n-1")
     terms = {drop_zero_parts((2, n - 2)): Fraction(1, 2)}
@@ -487,6 +489,7 @@ def U_vec(n, k):
 
 def Ubar_vec(n, k):
     """U below the midpoint, zero at it, minus the reflected U above it."""
+    n, k = json_int(n, "Ubar vector degree"), json_int(k, "Ubar vector index")
     if n < 2 or not 1 <= k <= n - 1:
         raise ValidationError("Ubar vector needs n >= 2 and 1 <= k <= n-1")
     if 2 * k < n:
@@ -617,6 +620,7 @@ def split(lam_comp, s):
     subset S = {1..a} on the interval representative.
     """
     lam_comp = as_composition(lam_comp)
+    s = json_int(s, "split position")
     if len(lam_comp) < 2:
         raise ValidationError("splitting needs at least two parts")
     if not 1 <= s < len(lam_comp):
@@ -788,6 +792,7 @@ def recover_rank2_modm2(coords, n):
     reflected parts above n/2, and a single missing part equal to n/2 is
     restored from the weight.
     """
+    n = json_int(n, "the degree")
     parts = []
     seen = dict(coords)
     for k in range(1, (n + 1) // 2):
@@ -1005,6 +1010,7 @@ def hilbert_basis_check(n):
     length-three classes by repeated splitting.  The bound decides (b), so
     no sum is searched for and counterexample is always None.
     """
+    n = json_int(n, "the degree")
     if n < 3:
         raise ValidationError("the semigroup check needs n >= 3")
     gens = [lam for lam in partitions(n, min_parts=3) if len(lam) == 3]
@@ -1048,7 +1054,7 @@ def hilbert_basis_check(n):
 # duality
 
 
-def duality_check(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
+def duality_check(matroid):
     """Compare the invariant of the dual with the part-reversal transforms.
 
     The monomial-basis reversal always holds; the N-basis reversal needs a
@@ -1056,8 +1062,8 @@ def duality_check(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
     the check is still evaluated).  For loopless matroids the rank-space
     shift of the dual is checked as well.
     """
-    f = qsym_of_matroid(matroid, limit)
-    fd = qsym_of_matroid(matroid.dual(), limit)
+    f = qsym_of_matroid(matroid)
+    fd = qsym_of_matroid(matroid.dual())
     fm = convert(f, "M")
     fdm = convert(fd, "M")
     monomial_holds = fdm.terms == {reversal(c): v for c, v in fm.terms.items()}
@@ -1079,7 +1085,7 @@ def duality_check(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
 # sampling
 
 
-def sample_loopless_matroid(rng, n, max_deletions=None):
+def sample_loopless_matroid(rng, n):
     """Random exchange-valid loopless matroid on [n].
 
     Starts from a uniform matroid of random positive rank and deletes random
@@ -1087,14 +1093,13 @@ def sample_loopless_matroid(rng, n, max_deletions=None):
     exchange-valid (checked incrementally, see _deletion_keeps_exchange)
     and loopless.
     """
+    n = json_int(n, "ground set size")
     if n < 1:
         raise ValidationError("sampling needs n >= 1")
     r = rng.randint(1, max(1, n - 1)) if n > 1 else 1
     masks = Matroid.uniform(r, n)._masks
     full = (1 << n) - 1
     goal = rng.randint(0, len(masks) - 1)
-    if max_deletions is not None:
-        goal = min(goal, max_deletions)
     order = list(masks)
     rng.shuffle(order)
     current = set(masks)

@@ -185,12 +185,13 @@ def linear_extensions(poset, limit=DEFAULT_ENUMERATION_LIMIT):
     return backtrack(0, [])
 
 
-def qsym_of_poset(poset, limit=DEFAULT_ENUMERATION_LIMIT):
-    """F(P): sum of fundamental elements of the runs of each linear extension."""
+def qsym_of_poset(poset):
+    """F(P): sum of fundamental elements of the runs of each linear extension,
+    enumerated under linear_extensions' default size cap."""
     if poset.n == 0:
         return QSymElement.one("L")
     terms = {}
-    for ext in linear_extensions(poset, limit):
+    for ext in linear_extensions(poset):
         comp = runs(ext)
         terms[comp] = terms.get(comp, 0) + 1
     return QSymElement("L", terms)
@@ -250,22 +251,23 @@ def build_P_K(ordered_partition):
 # decompositions induced by a set partition
 
 
-def decompose_by(poset, set_partition, limit=DEFAULT_ENUMERATION_LIMIT):
-    """The set of ordered partitions induced on the linear extensions."""
+def decompose_by(poset, set_partition):
+    """The set of ordered partitions induced on the linear extensions,
+    enumerated under linear_extensions' default size cap."""
     blocks = frozenset(frozenset(b) for b in set_partition)
     if sorted(x for b in blocks for x in b) != list(poset.labels):
         raise ValidationError("set partition must partition the poset labels")
     return {
         induced_partition_by_set_partition(ext, blocks)
-        for ext in linear_extensions(poset, limit)
+        for ext in linear_extensions(poset)
     }
 
 
-def is_antichain_inducing(poset, set_partition, limit=DEFAULT_ENUMERATION_LIMIT):
+def is_antichain_inducing(poset, set_partition):
     """True iff every block of every induced ordered partition is an antichain."""
     return all(
         poset.is_antichain(block)
-        for induced in decompose_by(poset, set_partition, limit)
+        for induced in decompose_by(poset, set_partition)
         for block in induced
     )
 

@@ -3,7 +3,9 @@
 Each check function runs one family of identities at a configurable size
 bound and returns a CheckResult; run_all caps every bound at the requested
 maximum so the command line can trade coverage for time.  All randomness is
-seeded and all arithmetic exact, so reports are byte-stable.
+seeded and all arithmetic exact, so reports are byte-stable except for the
+elapsed_seconds that run_all adds to each check, timing its call; the
+command line writes those only to its --report file.
 """
 
 import json
@@ -20,6 +22,7 @@ from .compositions import (
     fibre,
     format_composition,
     induced_partition_by_set_partition,
+    json_int,
     partitions,
     rank,
     rho,
@@ -45,8 +48,10 @@ from .matroids import (
     uniform,
 )
 
+RANDOM_ROUNDS = 25  # random decompositions drawn by check_splits
 
-class CheckResult(namedtuple("CheckResult", "check_id description passed elapsed details")):
+
+class CheckResult(namedtuple("CheckResult", "check_id description passed details")):
     __slots__ = ()
 
     def to_json(self):
@@ -54,18 +59,16 @@ class CheckResult(namedtuple("CheckResult", "check_id description passed elapsed
             "id": self.check_id,
             "description": self.description,
             "passed": self.passed,
-            "elapsed_seconds": round(self.elapsed, 3),
             "details": self.details,
         }
 
 
-def _result(check_id, description, start, passed, **details):
-    return CheckResult(check_id, description, passed, time.perf_counter() - start, dict(details))
+def _result(check_id, description, passed, **details):
+    return CheckResult(check_id, description, passed, dict(details))
 
 
 def check_worked_examples():
     """Fixed small values that must come out byte-exactly."""
-    start = time.perf_counter()
     failures = []
     expansion = qsym.n_basis_element((1, 2, 2))
     if expansion.terms != {(1, 4): 1, (1, 3, 1): 1, (1, 1, 3): 1, (1, 1, 2, 1): 1}:
@@ -108,7 +111,6 @@ def check_worked_examples():
     return _result(
         "worked-examples",
         "fixed worked values are reproduced byte-exactly",
-        start,
         not failures,
         failures=failures,
     )
@@ -116,7 +118,6 @@ def check_worked_examples():
 
 def check_zbasis(max_n=8):
     """Integer unitriangular change of basis between the N and L bases."""
-    start = time.perf_counter()
     failures = []
     for n in range(1, max_n + 1):
         order, rows = qsym.nl_unitriangular_matrix(n)
@@ -149,7 +150,6 @@ def check_zbasis(max_n=8):
     return _result(
         "zbasis-unitriangular",
         "N to L transition is integer unitriangular with integer inverse",
-        start,
         not failures,
         max_n=max_n,
         ordering=(
@@ -164,7 +164,6 @@ def check_zbasis(max_n=8):
 def check_structure_constants(max_weight=8):
     """N-basis products match the monomial quasi-shuffle oracle with
     nonnegative integer constants and additive weight and rank."""
-    start = time.perf_counter()
     failures = []
     pairs = 0
     # each factor's M expansion, converted once rather than once per pair
@@ -194,7 +193,6 @@ def check_structure_constants(max_weight=8):
     return _result(
         "structure-constants",
         "N-basis products agree with the quasi-shuffle oracle and grade by rank",
-        start,
         not failures,
         pairs=pairs,
         max_weight=max_weight,
@@ -220,7 +218,6 @@ def _membership_failures(matroid, label):
 def check_matroid_membership(rank2_max_n=9, sample_max_n=8, num_samples=200, seed=0):
     """Loopless invariants live in the rank space with positive integer
     coordinates and count bases in the corner coordinate."""
-    start = time.perf_counter()
     failures = []
     classes = 0
     for n in range(2, rank2_max_n + 1):
@@ -237,7 +234,6 @@ def check_matroid_membership(rank2_max_n=9, sample_max_n=8, num_samples=200, see
     return _result(
         "matroid-membership",
         "loopless invariants: rank space, positivity, corner counts bases",
-        start,
         not failures,
         rank2_classes=classes,
         samples=sampled,
@@ -247,7 +243,6 @@ def check_matroid_membership(rank2_max_n=9, sample_max_n=8, num_samples=200, see
 
 def check_uniform_formula(max_n=9):
     """Uniform matroids: binomial(n, r) times the two-part corner element."""
-    start = time.perf_counter()
     failures = []
     for n in range(1, max_n + 1):
         for r in range(1, n + 1):
@@ -258,7 +253,6 @@ def check_uniform_formula(max_n=9):
     return _result(
         "uniform-formula",
         "uniform matroid invariants equal binomial(n,r) N[(r,n-r)]",
-        start,
         not failures,
         max_n=max_n,
         failures=failures[:5],
@@ -268,7 +262,6 @@ def check_uniform_formula(max_n=9):
 def check_rank2_formula(max_n=9):
     """Closed rank-two formula against direct computation, and the product
     identity for two-block classes."""
-    start = time.perf_counter()
     failures = []
     for n in range(2, max_n + 1):
         for lam in partitions(n, min_parts=2):
@@ -285,7 +278,6 @@ def check_rank2_formula(max_n=9):
     return _result(
         "rank2-formula",
         "rank-two invariants equal their U-vector sums",
-        start,
         not failures,
         max_n=max_n,
         failures=failures[:5],
@@ -295,7 +287,6 @@ def check_rank2_formula(max_n=9):
 def check_recovery(max_n=9):
     """Round-trip class recovery from invariants, with loop and coloop
     variants, and the quotient recovery for three-part classes."""
-    start = time.perf_counter()
     failures = []
     count = 0
     for n in range(2, max_n + 1):
@@ -331,7 +322,6 @@ def check_recovery(max_n=9):
     return _result(
         "rank2-recovery",
         "invariants determine the rank-two class, also modulo products",
-        start,
         not failures,
         classes=count,
         max_n=max_n,
@@ -339,10 +329,9 @@ def check_recovery(max_n=9):
     )
 
 
-def check_splits(max_n=8, seed=0, random_rounds=25):
+def check_splits(max_n=8, seed=0):
     """Split identities at every position, and geometric decompositions
     reassembled from repeated splitting."""
-    start = time.perf_counter()
     failures = []
     desc = lambda c: tuple(sorted(c, reverse=True))
     for n in range(2, max_n + 1):
@@ -379,7 +368,7 @@ def check_splits(max_n=8, seed=0, random_rounds=25):
         for n in range(5, min(max_n + 1, 9) + 1)
         for lam in partitions(n, min_parts=3)
     ]
-    for _ in range(random_rounds if lams else 0):
+    for _ in range(RANDOM_ROUNDS if lams else 0):
         lam = rng.choice(lams)
         members = [lam]
         for _ in range(rng.randint(0, 3)):
@@ -399,17 +388,15 @@ def check_splits(max_n=8, seed=0, random_rounds=25):
     return _result(
         "splits-and-decompositions",
         "split identities hold and class equations lift to polytope splits",
-        start,
         not failures,
         max_n=max_n,
-        random_rounds=random_rounds,
+        random_rounds=RANDOM_ROUNDS,
         failures=failures[:5],
     )
 
 
 def check_hilbert_basis(max_n=8):
     """Three-part classes are distinct, indecomposable, and generate."""
-    start = time.perf_counter()
     failures = []
     for n in range(3, max_n + 1):
         report = hilbert_basis_check(n)
@@ -418,7 +405,6 @@ def check_hilbert_basis(max_n=8):
     return _result(
         "hilbert-basis",
         "three-part classes form the minimal generating set",
-        start,
         not failures,
         max_n=max_n,
         failures=failures,
@@ -428,7 +414,6 @@ def check_hilbert_basis(max_n=8):
 def check_invariance_duality_coproduct(num_matroids=100, seed=0, max_n=7):
     """Loop and coloop equivalence, the total count formula, part-reversal
     duality in both bases, and the coproduct counterexample."""
-    start = time.perf_counter()
     failures = []
     rng = random.Random(seed)
     checked = 0
@@ -490,7 +475,6 @@ def check_invariance_duality_coproduct(num_matroids=100, seed=0, max_n=7):
     return _result(
         "invariance-duality-coproduct",
         "loop equivalence, count formula, duality transforms, coproduct term",
-        start,
         not failures,
         matroids=checked,
         dual_checks=duals,
@@ -527,10 +511,12 @@ CHECKS = (
 
 def run_all(max_n=8, seed=0):
     """Run every check with its bounds capped at max_n and, if it takes a
-    seed, with seed; returns the report."""
+    seed, with seed; returns the report, each check's JSON carrying the
+    elapsed_seconds of its call."""
+    max_n, seed = json_int(max_n, "verify's max_n"), json_int(seed, "verify's seed")
     if max_n < 2:
         raise ValidationError(f"verify needs max_n >= 2, got {max_n}")
-    results = []
+    checks = []
     for check_id, func in CHECKS:
         kwargs = {}
         for name, bound in FULL_BOUNDS[check_id].items():
@@ -540,10 +526,12 @@ def run_all(max_n=8, seed=0):
                 kwargs[name] = bound
             else:
                 kwargs[name] = min(bound, max_n)
-        results.append(func(**kwargs))
+        start = time.perf_counter()
+        checks.append(func(**kwargs).to_json())
+        checks[-1]["elapsed_seconds"] = round(time.perf_counter() - start, 3)
     return {
         "max_n": max_n,
         "seed": seed,
-        "checks": [r.to_json() for r in results],
-        "all_passed": all(r.passed for r in results),
+        "checks": checks,
+        "all_passed": all(check["passed"] for check in checks),
     }

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 
-from nqsym import cli
+from nqsym import cli, verify
 from nqsym.cli import main
 from nqsym.matroids import rank2_qsym
 
@@ -221,9 +221,41 @@ def test_verify_small(capsys, tmp_path):
 def test_verify_pretty_lines(capsys):
     code, out = run_cli(["verify", "--max-n", "3", "--pretty"], capsys=capsys)
     assert code == 0
-    lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 10
-    assert all(line.startswith("PASS") for line in lines)
+    # no wall clock: one golden line per check, in CHECKS order
+    assert out.splitlines() == [
+        "PASS worked-examples: fixed worked values are reproduced byte-exactly",
+        "PASS zbasis-unitriangular: N to L transition is integer unitriangular with integer inverse",
+        "PASS structure-constants: N-basis products agree with the quasi-shuffle oracle and grade"
+        " by rank",
+        "PASS matroid-membership: loopless invariants: rank space, positivity, corner counts bases",
+        "PASS uniform-formula: uniform matroid invariants equal binomial(n,r) N[(r,n-r)]",
+        "PASS rank2-formula: rank-two invariants equal their U-vector sums",
+        "PASS rank2-recovery: invariants determine the rank-two class, also modulo products",
+        "PASS splits-and-decompositions: split identities hold and class equations lift to polytope"
+        " splits",
+        "PASS hilbert-basis: three-part classes form the minimal generating set",
+        "PASS invariance-duality-coproduct: loop equivalence, count formula, duality transforms,"
+        " coproduct term",
+        "all passed",
+    ]
+
+
+def test_verify_stdout_is_byte_stable_and_report_keeps_timings(capsys, tmp_path):
+    argv = ["verify", "--max-n", "4", "--seed", "1"]
+    first = run_cli(argv, capsys=capsys)
+    second = run_cli(argv, capsys=capsys)
+    assert first == second
+    assert first[0] == 0
+    assert all("elapsed_seconds" not in check for check in json.loads(first[1])["checks"])
+    report_path = tmp_path / "report.json"
+    code, out = run_cli(argv + ["--report", str(report_path)], capsys=capsys)
+    assert (code, out) == first
+    checks = json.loads(report_path.read_text())["checks"]
+    assert [check["id"] for check in checks] == [check_id for check_id, _ in verify.CHECKS]
+    assert all(type(check["elapsed_seconds"]) is float for check in checks)
+    assert [{k: v for k, v in check.items() if k != "elapsed_seconds"} for check in checks] == (
+        json.loads(out)["checks"]
+    )
 
 
 def assert_validation_error(code, out):

@@ -16,7 +16,7 @@ from _matroid_oracle import (
 )
 from nqsym import compositions as comp
 from nqsym import matroids as mat
-from nqsym import qsym
+from nqsym import qsym, verify
 from nqsym.elements import QSymElement
 from nqsym.errors import ValidationError
 from nqsym.matroids import Matroid, RankTwoClass, uniform
@@ -167,6 +167,30 @@ def test_internal_constructions_are_exchange_valid():
 def test_matroid_api_rejects_non_int_elements(call):
     with pytest.raises(ValidationError):
         call(uniform(2, 4))
+
+
+def test_integer_arguments_of_the_public_api_are_strict():
+    # bools were taken as 0 and 1, and floats and strings ended in a bare TypeError
+    rng = random.Random(0)
+    for call in [
+        lambda: uniform(True, 3),
+        lambda: uniform(2.0, 4),
+        lambda: Matroid.uniform(2, "4"),
+        lambda: mat.Ubar_vec(5, True),
+        lambda: mat.T_vec(4, 2.0),
+        lambda: mat.U_vec("4", 2),
+        lambda: mat.split((2, 1, 1), True),
+        lambda: mat.split((2, 1, 1), 1.0),
+        lambda: mat.hilbert_basis_check("8"),
+        lambda: mat.hilbert_basis_check(8.0),
+        lambda: mat.recover_rank2_modm2({1: 1}, "5"),
+        lambda: mat.sample_loopless_matroid(rng, 4.0),
+        lambda: verify.run_all(max_n="8"),
+        lambda: verify.run_all(max_n=2.5),
+        lambda: verify.run_all(max_n=2, seed=True),
+    ]:
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_base_poset_uniform_is_complete_bipartite():

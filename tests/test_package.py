@@ -46,7 +46,7 @@ def test_lazy_exports_resolve_to_their_module_objects():
 def test_oracle_routes_and_selectors_stay_out_of_the_package():
     # the brute-force oracles live under tests/, and each quantity has one
     # production path with no switch selecting another
-    from nqsym import compositions, posets
+    from nqsym import compositions, posets, verify
 
     for module, name in [
         (compositions, "binary_word_cmp"),
@@ -63,6 +63,12 @@ def test_oracle_routes_and_selectors_stay_out_of_the_package():
     for function, params in [
         (matroids.exchange_valid, ["base_masks"]),
         (matroids.qsym_of_matroid, ["matroid", "limit"]),
+        (matroids.duality_check, ["matroid"]),
+        (matroids.sample_loopless_matroid, ["rng", "n"]),
+        (posets.qsym_of_poset, ["poset"]),
+        (posets.decompose_by, ["poset", "set_partition"]),
+        (posets.is_antichain_inducing, ["poset", "set_partition"]),
+        (verify.check_splits, ["max_n", "seed"]),
         (qsym.nl_unitriangular_matrix, ["n"]),
         (posets.alternating_antichain_labels, ["comp"]),
     ]:

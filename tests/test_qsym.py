@@ -272,6 +272,21 @@ def test_scale_accepts_only_exact_scalars():
             q.scale(bad)
 
 
+def test_bool_coefficients_and_scalars_are_rejected():
+    # a bool is no exact rational here, as in from_json's "num"
+    q = QSymElement("M", {(2,): 1})
+    for build in [
+        lambda: QSymElement("M", {(1,): True}),
+        lambda: QSymElement("M", {(1,): False}),
+        lambda: QSymElement.single("M", (1,), True),
+        lambda: q.scale(True),
+        lambda: q * True,
+        lambda: False * q,
+    ]:
+        with pytest.raises(ValidationError):
+            build()
+
+
 def test_refinements_match_subset_enumeration():
     for n in range(11):
         for alpha in comp.compositions(n):
