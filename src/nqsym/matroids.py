@@ -69,36 +69,32 @@ def exchange_valid(base_masks):
     other than e lie outside b1, so for a basis b2 they meet b2 - b1 exactly
     when they meet b2; and b2 misses e exactly when e is in b1 - b2.  Hence
     the axiom fails for some (b1, b2, e) iff some basis misses some X(b1, e),
-    and it holds iff every basis meets every X(b1, e).  The bases meeting X
-    are the union over its elements of the bases holding each one, kept as
-    a bitset over the family.
+    and it holds iff every basis meets every X(b1, e).
+    With I = b1 - e, X(b1, e) is {x : I + x is a basis}, the extensions of
+    I, so it depends on I alone.  One pass over the bases collects them,
+    ext[b - x] gaining x for each basis b and x in b, and each is checked
+    once.  The bases meeting an ext value are the union over its elements of
+    the bases holding each one, kept as a bitset over the family.
     """
     masks = set(base_masks)
     holders = {}
+    ext = {}
     for j, b in enumerate(masks):
         rest = b
         while rest:
             bit = rest & -rest
             rest ^= bit
             holders[bit] = holders.get(bit, 0) | 1 << j
-    union = sum(holders)  # the keys are distinct single bits
+            ext[b ^ bit] = ext.get(b ^ bit, 0) | bit
     everyone = (1 << len(masks)) - 1
-    for b1 in masks:
-        outside = union & ~b1
-        e = b1
-        while e:
-            ebit = e & -e
-            e ^= ebit
-            removed = b1 ^ ebit
-            met = holders[ebit]
-            f = outside
-            while f:
-                fbit = f & -f
-                f ^= fbit
-                if (removed | fbit) in masks:
-                    met |= holders[fbit]
-            if met != everyone:
-                return False
+    for x in ext.values():
+        met = 0
+        while x:
+            bit = x & -x
+            x ^= bit
+            met |= holders[bit]
+        if met != everyone:
+            return False
     return True
 
 
@@ -106,25 +102,28 @@ def _deletion_keeps_exchange(n, trial, removed):
     """Whether trial = F - {removed} is exchange-valid, F being an
     exchange-valid family on [n].
 
-    Deleting removed drops f from X(b1, e) (see exchange_valid) only when
-    b1 - e + f == removed, that is when b1 ^ removed == {e, f} with e in b1.
-    Every other X(b1, e) is the same in F and in trial, and the smaller
-    family still meets it.  So only X(b1, b1 - removed) is checked again,
-    for each basis b1 adjacent to removed.
+    In the terms of exchange_valid, deleting removed changes the extensions
+    of an (r-1)-set I only when I + x == removed for some x, that is for
+    I = removed - x with x in removed, and then it takes x out.  Every
+    other extension set is the same in F and in trial, and the smaller
+    family still meets it.  So only those r sets are checked again, each
+    once; one that is now empty lies in no basis of trial and imposes
+    nothing.
     """
-    for b1 in trial:
-        if (b1 ^ removed).bit_count() != 2:
-            continue
-        e = b1 & ~removed
-        rest = b1 ^ e
-        x = e
-        f = ((1 << n) - 1) & ~b1
+    outside = ((1 << n) - 1) & ~removed
+    rest = removed
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        base = removed ^ bit
+        x = 0
+        f = outside
         while f:
             fbit = f & -f
             f ^= fbit
-            if (rest | fbit) in trial:
+            if (base | fbit) in trial:
                 x |= fbit
-        if not all(b & x for b in trial):
+        if x and not all(b & x for b in trial):
             return False
     return True
 
@@ -180,20 +179,21 @@ class Matroid:
         masks = [_mask_of(b) for b in base_sets]
         if not exchange_valid(masks):
             raise ValidationError("base family violates the exchange axiom")
-        self._fill(n, masks)
+        self._fill(n, masks, base_sets)
 
     @classmethod
     def from_masks(cls, n, masks):
         """The matroid whose bases are the given bitmasks, unchecked: the
         caller guarantees a nonempty exchange-valid family on [n]."""
+        masks = set(masks)
         self = cls.__new__(cls)
-        self._fill(n, masks)
+        self._fill(n, masks, frozenset(_set_of(m) for m in masks))
         return self
 
-    def _fill(self, n, masks):
-        masks = tuple(sorted(set(masks)))
+    def _fill(self, n, masks, bases):
+        masks = tuple(sorted(masks))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bases", frozenset(_set_of(m) for m in masks))
+        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_mask_set", frozenset(masks))
 
@@ -414,10 +414,10 @@ def _basis_type_counts(rank, partners):
     return counts
 
 
-def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
-    """The invariant of a matroid in the N basis.
+def _interleave(n, masks):
+    """The N-basis coefficients of F for a loopless family of bases on [n],
+    interleaved on the side given, with no switch to the dual.
 
-    Base and cobase blocks of each exchange poset are interleaved directly.
     A basis's type counts depend only on its rank and on the multiset of its
     cobase elements' partner masks, written over the base positions 0..r-1
     in ground order (its exchange graph, from _partner_masks, which
@@ -427,25 +427,14 @@ def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
     cobase element is blocked while one of its partners is unplaced and
     released after, and released elements are interchangeable, so each
     cobase block is counted by its size with a binomial weight (see
-    _basis_type_counts).  Loops are stripped first and multiplied back in
-    as N[(l,)].
+    _basis_type_counts).
     """
-    if matroid.n > limit:
-        raise ResourceLimitError(
-            f"matroid on {matroid.n} elements exceeds enumeration limit {limit}"
-        )
-    if matroid.n == 0:
-        return QSymElement.one("N")
-    loops = matroid.loops()
-    if loops:
-        nonloops = [x for x in range(1, matroid.n + 1) if x not in loops]
-        stripped = matroid.restriction(nonloops)
-        inner = qsym_of_matroid(stripped, limit)
-        return nbasis_product(inner, QSymElement.single("N", (len(loops),)))
-    full = (1 << matroid.n) - 1
-    mask_set = matroid._mask_set
+    if n == 0:
+        return {(): 1}
+    full = (1 << n) - 1
+    mask_set = frozenset(masks)
     shapes = {}
-    for bmask in matroid._masks:
+    for bmask in masks:
         partners = _partner_masks(bmask, full & ~bmask, mask_set)
         key = (bmask.bit_count(), tuple(sorted(partners)))
         shapes[key] = shapes.get(key, 0) + 1
@@ -453,7 +442,66 @@ def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
     for (rank, partners), multiplicity in shapes.items():
         for typ, count in _basis_type_counts(rank, partners).items():
             acc[typ] = acc.get(typ, 0) + count * multiplicity
-    return QSymElement._trusted("N", acc)
+    return acc
+
+
+def _times_loops(acc, k):
+    """The element with N coefficients acc, times N[(k,)], the invariant of
+    k loops (or coloops)."""
+    element = QSymElement._trusted("N", acc)
+    return nbasis_product(element, QSymElement.single("N", (k,))) if k else element
+
+
+def _check_limit(matroid, limit):
+    if matroid.n > limit:
+        raise ResourceLimitError(
+            f"matroid on {matroid.n} elements exceeds enumeration limit {limit}"
+        )
+
+
+def _qsym_by_interleaving(matroid):
+    """The invariant with the loops stripped and multiplied back in, and the
+    rest interleaved on the side given (see _interleave): the route that
+    duality_check reads on a matroid and on its dual, so that the two are
+    computed independently."""
+    _check_limit(matroid, DEFAULT_ENUMERATION_LIMIT)
+    union = 0
+    for m in matroid._masks:
+        union |= m
+    loops = ((1 << matroid.n) - 1) & ~union
+    core = matroid._minor(0, union) if loops else matroid
+    return _times_loops(_interleave(core.n, core._masks), loops.bit_count())
+
+
+def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
+    """The invariant of a matroid in the N basis, interleaved on the smaller
+    side of duality.
+
+    Loops and coloops are stripped in one minor and multiplied back in as
+    N[(l + c,)]: a loop or a coloop is a direct summand with invariant
+    N[(1,)], and F is multiplicative over direct sums.  For the remaining
+    loopless, coloop-free matroid, F of the dual is F with every N
+    composition reversed (Billera, Jia and Reiner, "A quasisymmetric
+    function for matroids", 2009; the nbasis_holds of duality_check).  The
+    interleaving costs about 3^r in the rank r (see _basis_type_counts), so
+    when 2r > n the complements of the bases are interleaved and every
+    composition is reversed.
+    """
+    _check_limit(matroid, limit)
+    full = (1 << matroid.n) - 1
+    union, inter = 0, full
+    for m in matroid._masks:
+        union |= m
+        inter &= m
+    stripped = (full & ~union) | inter
+    core = matroid._minor(inter, full & ~stripped) if stripped else matroid
+    n, masks = core.n, core._masks
+    if 2 * masks[0].bit_count() > n:
+        dual = _interleave(n, [((1 << n) - 1) ^ m for m in masks])
+        acc = {reversal(c): count for c, count in dual.items()}
+    else:
+        acc = _interleave(n, masks)
+    return _times_loops(acc, stripped.bit_count())
 
 
 def loops_coloops_from_qsym(element):
@@ -790,11 +838,21 @@ def recover_rank2_modm2(coords, n):
 
     Positive coordinates give parts below n/2, negative ones give the
     reflected parts above n/2, and a single missing part equal to n/2 is
-    restored from the weight.
+    restored from the weight.  coords maps each index, an int, to its
+    coordinate, an int or a Fraction; bools, floats and strings are
+    rejected, never converted.
     """
     n = json_int(n, "the degree")
     parts = []
-    seen = dict(coords)
+    try:
+        coords = dict(coords)
+    except (TypeError, ValueError):
+        raise ValidationError(f"coordinates must map indices to values, got {coords!r}") from None
+    seen = {}
+    for k, value in coords.items():
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ValidationError(f"a coordinate must be an int or a Fraction, got {value!r}")
+        seen[json_int(k, "coordinate index")] = value
     for k in range(1, (n + 1) // 2):
         if 2 * k == n:
             continue
@@ -1062,8 +1120,8 @@ def duality_check(matroid):
     the check is still evaluated).  For loopless matroids the rank-space
     shift of the dual is checked as well.
     """
-    f = qsym_of_matroid(matroid)
-    fd = qsym_of_matroid(matroid.dual())
+    f = _qsym_by_interleaving(matroid)
+    fd = _qsym_by_interleaving(matroid.dual())
     fm = convert(f, "M")
     fdm = convert(fd, "M")
     monomial_holds = fdm.terms == {reversal(c): v for c, v in fm.terms.items()}

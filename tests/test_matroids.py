@@ -223,6 +223,11 @@ def test_qsym_of_matroid_uniform():
             f = mat.qsym_of_matroid(uniform(r, n))
             expected_comp = comp.drop_zero_parts((r, n - r)) if r else (n,)
             assert f.terms == {expected_comp: comb(n, r)}
+    # rank above n/2, through the dual, up to the default limit n = 12
+    for n in range(8, 13):
+        for r in range(n // 2 + 1, n + 1):
+            f = mat.qsym_of_matroid(uniform(r, n))
+            assert f.terms == {comp.drop_zero_parts((r, n - r)): comb(n, r)}, (r, n)
 
 
 def test_fast_path_matches_linear_extension_oracle():
@@ -291,14 +296,15 @@ def test_exchange_valid_matches_pairwise_oracle_exhaustively():
 def test_exchange_valid_matches_pairwise_oracle_on_random_families():
     rng = random.Random(2024)
     verdicts = {True: 0, False: 0}
-    for n in (6, 7, 8):
-        for _ in range(150):
+    for n, count in ((6, 150), (7, 150), (8, 150), (9, 30), (10, 30)):
+        for _ in range(count):
             m = mat.sample_loopless_matroid(rng, n)
             subsets = [
                 mat._mask_of(c) for c in itertools.combinations(range(1, n + 1), m.rank)
             ]
-            if rng.random() < 0.5:
+            if n >= 9 or rng.random() < 0.5:
                 # near a matroid: a sampled one with one subset added or removed
+                # (the only branch at n >= 9, where the pairwise oracle is slow)
                 masks = list(set(m._masks) ^ {rng.choice(subsets)}) or subsets[:1]
             else:
                 density = rng.random()
@@ -367,6 +373,34 @@ def _relabeled_matroid(m, rng):
     return Matroid.from_masks(
         m.n, [sum(1 << perm[i] for i in range(m.n) if b >> i & 1) for b in m._masks]
     )
+
+
+def _with_loops_and_coloops(m, loops, coloops):
+    for _ in range(loops):
+        m = m.direct_sum(uniform(0, 1))
+    for _ in range(coloops):
+        m = m.direct_sum(uniform(1, 1))
+    return m
+
+
+def test_smaller_side_matches_no_switch_route_and_flags():
+    # qsym_of_matroid strips loops and coloops and interleaves the dual when
+    # 2r > n; the no-switch route strips the loops only and interleaves the
+    # side given.  Every labelled matroid on [n], n <= 5, with 0-2 loops and
+    # 0-2 coloops placed at random; the flag definition on one of the nine
+    # sums of each matroid, cycling through them, where it has n <= 7.
+    rng = random.Random(43)
+    flagged = 0
+    for i, m in enumerate(_labelled_matroids(5)):
+        for loops in range(3):
+            for coloops in range(3):
+                augmented = _relabeled_matroid(_with_loops_and_coloops(m, loops, coloops), rng)
+                f = mat.qsym_of_matroid(augmented)
+                assert f == mat._qsym_by_interleaving(augmented), augmented
+                if (loops, coloops) == divmod(i % 9, 3) and augmented.n <= 7:
+                    assert f == qsym_of_matroid_by_flags(augmented), augmented
+                    flagged += 1
+    assert flagged >= 300, flagged
 
 
 def test_components_match_circuit_oracle():
@@ -440,7 +474,8 @@ def test_loop_coloop_equivalence():
         with_loop = m.direct_sum(uniform(0, 1))
         with_coloop = m.direct_sum(uniform(1, 1))
         f = mat.qsym_of_matroid(with_loop)
-        assert f == mat.qsym_of_matroid(with_coloop)
+        # the no-switch route keeps the coloop in the interleaving
+        assert f == mat._qsym_by_interleaving(with_coloop)
         assert f == qsym.nbasis_product(
             mat.qsym_of_matroid(m), QSymElement.single("N", (1,))
         )
@@ -654,6 +689,16 @@ def test_recover_modm2_round_trip():
     assert mat.recover_rank2_modm2(coords, 6) == lam
     with pytest.raises(ValidationError):
         mat.recover_rank2_modm2({1: Fraction(1, 2)}, 6)
+
+
+def test_recover_modm2_rejects_non_numbers():
+    # the true coordinates of (3, 2, 1) at n = 6 are {1: 1, 2: 1}; a string,
+    # a float or a bool index is rejected, never converted, and so is a
+    # value that is not a mapping
+    assert mat.recover_rank2_modm2(mat.mod_m2(mat.rank2_qsym((3, 2, 1))), 6) == (3, 2, 1)
+    for coords in ({1: "1", 2: "1"}, {1: 1.0, 2: 1.0}, {True: 1, 2: 1}, 5, [1, 2]):
+        with pytest.raises(ValidationError):
+            mat.recover_rank2_modm2(coords, 6)
 
 
 def test_distinct_classes_have_distinct_coordinates():

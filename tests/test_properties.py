@@ -118,13 +118,33 @@ def test_basis_type_counts_match_subset_enumeration(shape):
 
 
 @FIXED
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2), st.integers(0, 1))
-def test_invariant_matches_flag_and_extension_definitions(seed, n, loops, coloops):
-    m = matroids.sample_loopless_matroid(random.Random(seed), n)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_invariant_matches_flag_and_extension_definitions(seed, n, loops, coloops, dual, relabel):
+    # the sampler draws r from 1..n-1 and the dual turns r into n - r, so
+    # about half the cases interleave the dual of the stripped matroid; the
+    # no-switch route and both definitions never do
+    rng = random.Random(seed)
+    m = matroids.sample_loopless_matroid(rng, n)
+    if dual:
+        m = m.dual()
     for _ in range(loops):
         m = m.direct_sum(matroids.uniform(0, 1))
     for _ in range(coloops):
         m = m.direct_sum(matroids.uniform(1, 1))
+    if relabel:
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        m = matroids.Matroid.from_masks(
+            m.n, [sum(1 << perm[i] for i in range(m.n) if b >> i & 1) for b in m._masks]
+        )
     f = matroids.qsym_of_matroid(m)
+    assert f == matroids._qsym_by_interleaving(m)
     assert f == qsym_of_matroid_by_flags(m)
     assert f == qsym_of_matroid_by_extensions(m)
