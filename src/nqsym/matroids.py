@@ -3,8 +3,8 @@ the complete rank-two theory: closed formulas, recovery of the isomorphism
 class from the invariant, and base polytope splits with vertex-level
 certificates.
 
-Ground sets are always [n] = {1, ..., n}; bases are stored as frozensets and
-as bitmasks (bit i-1 for element i) for the hot loops.
+Ground sets are always [n] = {1, ..., n}; bases are stored only as
+bitmasks, bit i-1 for element i.
 """
 
 from collections import namedtuple
@@ -42,23 +42,27 @@ def _mask_of(subset):
 def _int_set(subset, what):
     """The elements of a subset of the ground set as a frozenset, each
     checked with json_int, so a bool, float or string is rejected, and so is
-    a subset that is not a collection at all."""
+    a subset that is not a collection at all or that repeats an element."""
     try:
-        elements = iter(subset)
+        elements = [json_int(x, what) for x in subset]
     except TypeError:
         raise ValidationError(f"expected a set of {what}s, got {subset!r}") from None
-    return frozenset(json_int(x, what) for x in elements)
+    out = frozenset(elements)
+    if len(out) != len(elements):
+        raise ValidationError(f"a set of {what}s repeats an element: {subset!r}")
+    return out
 
 
-def _set_of(mask):
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+def _elements_of(mask):
+    """The elements of a mask, ascending."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _basis_mask(matroid, basis):
+    """The mask of basis when it is a basis of matroid, else None."""
+    elements = _int_set(basis, "basis element")
+    mask = _mask_of(elements) if all(1 <= x <= matroid.n for x in elements) else None
+    return mask if mask in matroid._mask_set else None
 
 
 def exchange_valid(base_masks):
@@ -154,14 +158,15 @@ def _partner_masks(bmask, outside, mask_set):
 
 
 class Matroid:
-    """A matroid on [n] given by its set of bases.
+    """A matroid on [n] given by its set of bases, stored only as bitmasks:
+    the sorted tuple _masks and the frozenset _mask_set.
 
-    `Matroid(n, bases)` validates its input, the exchange axiom included.
-    `Matroid.from_masks(n, masks)` trusts its caller and builds every
-    matroid derived inside the package.
+    `Matroid(n, bases)` validates its input, the exchange axiom included;
+    a basis listed twice is one basis.  `Matroid.from_masks(n, masks)`
+    trusts its caller and builds every matroid derived inside the package.
     """
 
-    __slots__ = ("n", "bases", "_masks", "_mask_set")
+    __slots__ = ("n", "_masks", "_mask_set")
 
     def __init__(self, n, bases):
         n = json_int(n, "ground set size")
@@ -179,23 +184,21 @@ class Matroid:
         masks = [_mask_of(b) for b in base_sets]
         if not exchange_valid(masks):
             raise ValidationError("base family violates the exchange axiom")
-        self._fill(n, masks, base_sets)
+        self._fill(n, masks)
 
     @classmethod
     def from_masks(cls, n, masks):
         """The matroid whose bases are the given bitmasks, unchecked: the
         caller guarantees a nonempty exchange-valid family on [n]."""
-        masks = set(masks)
         self = cls.__new__(cls)
-        self._fill(n, masks, frozenset(_set_of(m) for m in masks))
+        self._fill(n, masks)
         return self
 
-    def _fill(self, n, masks, bases):
-        masks = tuple(sorted(masks))
+    def _fill(self, n, masks):
+        mask_set = frozenset(masks)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_mask_set", frozenset(masks))
+        object.__setattr__(self, "_masks", tuple(sorted(mask_set)))
+        object.__setattr__(self, "_mask_set", mask_set)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
@@ -210,20 +213,26 @@ class Matroid:
     # -- basic structure
 
     @property
+    def bases(self):
+        """The bases as frozensets, rebuilt from the masks on every access
+        (one frozenset per basis), so bind it once outside a loop."""
+        return frozenset(frozenset(_elements_of(m)) for m in self._masks)
+
+    @property
     def rank(self):
-        return len(next(iter(self.bases)))
+        return self._masks[0].bit_count()
 
     def loops(self):
         union = 0
         for m in self._masks:
             union |= m
-        return _set_of(((1 << self.n) - 1) & ~union)
+        return frozenset(_elements_of(((1 << self.n) - 1) & ~union))
 
     def coloops(self):
         inter = (1 << self.n) - 1
         for m in self._masks:
             inter &= m
-        return _set_of(inter)
+        return frozenset(_elements_of(inter))
 
     def dual(self):
         full = (1 << self.n) - 1
@@ -286,9 +295,9 @@ class Matroid:
                 x = parent[x]
             return x
 
-        base = sorted(_set_of(bmask))
+        base = _elements_of(bmask)
         partners = _partner_masks(bmask, outside, self._mask_set)
-        for f, pmask in zip(sorted(_set_of(outside)), partners):
+        for f, pmask in zip(_elements_of(outside), partners):
             for i, e in enumerate(base):
                 if pmask >> i & 1:
                     parent[find(e)] = find(f)
@@ -310,10 +319,10 @@ class Matroid:
         return hash((self.n, self._mask_set))
 
     def __repr__(self):
-        return f"Matroid(n={self.n}, bases={sorted(sorted(b) for b in self.bases)})"
+        return f"Matroid(n={self.n}, bases={self.to_json()['bases']})"
 
     def to_json(self):
-        return {"n": self.n, "bases": sorted(sorted(b) for b in self.bases)}
+        return {"n": self.n, "bases": sorted(map(_elements_of, self._masks))}
 
     @classmethod
     def from_json(cls, data):
@@ -341,17 +350,15 @@ def base_poset(matroid, basis):
     1..n-r the same way.  An exchangeable pair (see _partner_masks) gives a
     cover from the base label up to the cobase label.
     """
-    basis = _int_set(basis, "basis element")
-    if basis not in matroid.bases:
+    bmask = _basis_mask(matroid, basis)
+    if bmask is None:
         raise ValidationError("not a basis of the matroid")
-    n = matroid.n
-    bmask = _mask_of(basis)
+    n, r = matroid.n, bmask.bit_count()
     partners = _partner_masks(bmask, ((1 << n) - 1) & ~bmask, matroid._mask_set)
-    top = n - len(basis)
     relations = [
-        (top + i + 1, j + 1)
+        (n - r + i + 1, j + 1)
         for j, pmask in enumerate(partners)
-        for i in range(len(basis))
+        for i in range(r)
         if pmask >> i & 1
     ]
     return LabeledPoset(range(1, n + 1), relations)
@@ -517,18 +524,24 @@ def loops_coloops_from_qsym(element):
 # rank-two building blocks
 
 
+def _t_sum(n, weighted):
+    """sum_k w_k T(n, k) over the pairs (k, w_k) in weighted, in closed form:
+    (1/2) sum_k w_k on N_(2,n-2) and sum_k w_k binomial(k-1, j) on
+    N_(1,j,1,n-2-j) for j >= 1."""
+    terms = {drop_zero_parts((2, n - 2)): Fraction(sum(w for _, w in weighted), 2)}
+    for k, w in weighted:
+        for j in range(1, k):
+            key = drop_zero_parts((1, j, 1, n - 2 - j))
+            terms[key] = terms.get(key, 0) + w * comb(k - 1, j)
+    return QSymElement._trusted("N", terms)
+
+
 def T_vec(n, k):
     """(1/2) N_(2,n-2) plus binomial(k-1, j) N_(1,j,1,n-2-j) summed over j >= 1."""
     n, k = json_int(n, "T vector degree"), json_int(k, "T vector index")
     if n < 2 or not 1 <= k <= n - 1:
         raise ValidationError("T vector needs n >= 2 and 1 <= k <= n-1")
-    terms = {drop_zero_parts((2, n - 2)): Fraction(1, 2)}
-    for j in range(1, k):
-        c = comb(k - 1, j)
-        if c:
-            key = drop_zero_parts((1, j, 1, n - 2 - j))
-            terms[key] = terms.get(key, 0) + c
-    return QSymElement("N", terms)
+    return _t_sum(n, [(k, 1)])
 
 
 def U_vec(n, k):
@@ -557,13 +570,11 @@ def _check_partition(lam, min_parts=2):
 
 
 def rank2_qsym(lam):
-    """Invariant of the loopless rank-two class of a partition: sum of U vectors."""
+    """Invariant of the loopless rank-two class of a partition: the sum of
+    U(n, p) = p(n - p) T(n, p) over its parts p."""
     lam = _check_partition(lam)
     n = weight(lam)
-    total = QSymElement.zero("N")
-    for part in lam:
-        total = total + U_vec(n, part)
-    return total
+    return _t_sum(n, [(p, p * (n - p)) for p in lam])
 
 
 def rank2_matroid_from_blocks(blocks):
@@ -693,18 +704,15 @@ def split(lam_comp, s):
 
 def full_split_to_length3(lam):
     """Repeatedly split a partition with more than three parts into
-    length-three partitions (m - 2 of them for m parts)."""
+    length-three partitions (m - 2 of them for m parts).  Each step is
+    split(lam, 2) in closed form: beta = (l1, l2, l3 + ... + lm), sorted, is
+    put out, and alpha = (l1 + l2, l3, ..., lm), already sorted, goes on."""
     lam = _check_partition(lam, min_parts=3)
-    if len(lam) == 3:
-        return (lam,)
     out = []
-    current = lam
-    while len(current) > 3:
-        res = split(current, 2)
-        out.append(tuple(sorted(res.beta, reverse=True)))
-        current = tuple(sorted(res.alpha, reverse=True))
-    out.append(current)
-    return tuple(out)
+    while len(lam) > 3:
+        out.append(tuple(sorted((lam[0], lam[1], sum(lam[2:])), reverse=True)))
+        lam = (lam[0] + lam[1],) + lam[2:]
+    return tuple(out) + (lam,)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +727,8 @@ def u_coordinates(element):
     sum_{k>j} t_k k(n-k) C(k-1,j), whose k = j+1 entry (j+1)(n-j-1) is
     nonzero, so t_{n-1}, ..., t_2 are back-substituted for j = n-2 down to
     1; t_1 is then read off the N(2,n-2) coefficient, (1/2) sum_k t_k k(n-k).
-    Membership in the span is checked by rebuilding the element.
+    Membership in the span is checked by rebuilding the element in closed
+    form (_t_sum with weights t_k k(n-k)).
     """
     q = convert(element, "N")
     if not q:
@@ -735,10 +744,7 @@ def u_coordinates(element):
     rest = 2 * q.terms.get(drop_zero_parts((2, n - 2)), 0)
     rest -= sum(t[k] * k * (n - k) for k in range(2, n))
     t[1] = Fraction(rest) / (n - 1)
-    rebuilt = QSymElement.zero("N")
-    for k in range(1, n):
-        rebuilt = rebuilt + U_vec(n, k).scale(t[k])
-    if rebuilt != q:
+    if _t_sum(n, [(k, t[k] * k * (n - k)) for k in range(1, n)]) != q:
         raise ValidationError("element does not lie in the span of the U vectors")
     return n, tuple(t[1:])
 
@@ -751,10 +757,11 @@ def mod_m2(element):
 
 
 def ubar_coordinates_of_partition(lam):
-    """Closed-form Ubar coordinates of a rank-two class."""
+    """Closed-form Ubar coordinates of a rank-two class, as ints: for each
+    1 <= k < n/2, the parts equal to k less the parts equal to n - k."""
     lam = _check_partition(lam)
     n = weight(lam)
-    coords = {k: Fraction(0) for k in range(1, (n + 1) // 2) if 2 * k != n}
+    coords = dict.fromkeys(range(1, (n + 1) // 2), 0)
     for part in lam:
         if 2 * part < n:
             coords[part] += 1
@@ -935,7 +942,7 @@ def _split_representative(tau_rep, mu, nu, k, n):
 def _class_equation_holds(lam, members):
     """True iff the Ubar classes of the members sum to the class of lam."""
     target = ubar_coordinates_of_partition(lam)
-    total = {k: Fraction(0) for k in target}
+    total = dict.fromkeys(target, 0)
     for m in members:
         for k, v in ubar_coordinates_of_partition(m).items():
             total[k] += v
@@ -1001,41 +1008,39 @@ def geom_decompose(lam, members):
 
 
 def verify_polytope_decomposition(parent, parts, certificates):
-    """Vertex and halfspace level checks of a decomposition.
+    """Vertex and halfspace level checks of a decomposition, on base masks.
 
     Checks that the parts' bases cover the parent's bases from inside, that
     every recorded split puts exactly the <=1 and >=1 halfspace bases on its
-    two sides with the equality set as intersection, and that every pairwise
-    intersection of parts satisfies the exchange axiom.  Returns (ok,
-    reason) with reason None on success.
+    two sides, so that their intersection is the equality set, that this
+    set satisfies the exchange axiom, and so does every pairwise
+    intersection of parts.  Returns (ok, reason) with reason None on
+    success.
     """
-    parent_bases = parent.bases
+    parent_bases = parent._mask_set
     union = set()
     for i, part in enumerate(parts):
         if part.n != parent.n:
             return False, f"part {i} lives on a different ground set"
-        if not part.bases <= parent_bases:
+        if not part._mask_set <= parent_bases:
             return False, f"part {i} has a basis outside the parent"
-        union |= part.bases
+        union |= part._mask_set
     if union != parent_bases:
         return False, "parts do not cover all parent bases"
     for idx, cert in enumerate(certificates):
-        cert_parent = cert.parent.matroid()
-        le_expected = {b for b in cert_parent.bases if len(b & cert.subset) <= 1}
-        ge_expected = {b for b in cert_parent.bases if len(b & cert.subset) >= 1}
-        if cert.child_le.matroid().bases != le_expected:
+        subset = _mask_of(cert.subset)
+        cert_parent = cert.parent.matroid()._masks
+        le_expected = {b for b in cert_parent if (b & subset).bit_count() <= 1}
+        ge_expected = {b for b in cert_parent if b & subset}
+        if cert.child_le.matroid()._mask_set != le_expected:
             return False, f"split {idx}: <=1 side mismatch"
-        if cert.child_ge.matroid().bases != ge_expected:
+        if cert.child_ge.matroid()._mask_set != ge_expected:
             return False, f"split {idx}: >=1 side mismatch"
-        equality = {b for b in cert_parent.bases if len(b & cert.subset) == 1}
-        if le_expected & ge_expected != equality:
-            return False, f"split {idx}: intersection is not the equality set"
-        if not exchange_valid([_mask_of(b) for b in equality]):
+        if not exchange_valid(le_expected & ge_expected):
             return False, f"split {idx}: equality set is not a matroid"
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            common = parts[i].bases & parts[j].bases
-            if common and not exchange_valid([_mask_of(b) for b in common]):
+            if not exchange_valid(parts[i]._mask_set & parts[j]._mask_set):
                 return False, f"parts {i} and {j} intersect in a non-matroid"
     return True, None
 
@@ -1047,10 +1052,10 @@ def polytope_dim(matroid):
 
 def polytope_edge(matroid, basis1, basis2):
     """True iff the two bases differ by a single exchange."""
-    b1, b2 = _int_set(basis1, "basis element"), _int_set(basis2, "basis element")
-    if b1 not in matroid.bases or b2 not in matroid.bases:
+    b1, b2 = _basis_mask(matroid, basis1), _basis_mask(matroid, basis2)
+    if b1 is None or b2 is None:
         raise ValidationError("both arguments must be bases")
-    return len(b1 ^ b2) == 2
+    return (b1 ^ b2).bit_count() == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1062,11 +1067,12 @@ def hilbert_basis_check(n):
 
     Verifies (a) length-three classes are pairwise distinct, (b) none is a
     sum of two or more classes, using the linear functional sending the
-    k-th Ubar vector to n/2 - k, under which every class of a length-m
-    partition takes the value (m-2) n/2, so any sum of at least two
-    generators is too large, and (c) every longer class decomposes into
-    length-three classes by repeated splitting.  The bound decides (b), so
-    no sum is searched for and counterexample is always None.
+    k-th Ubar vector to n - 2k (twice n/2 - k, so it stays integral), under
+    which every class of a length-m partition takes the value (m-2) n, so
+    any sum of at least two generators is too large, and (c) every longer
+    class decomposes into length-three classes by repeated splitting.  The
+    bound decides (b), so no sum is searched for and counterexample is
+    always None.
     """
     n = json_int(n, "the degree")
     if n < 3:
@@ -1079,13 +1085,8 @@ def hilbert_basis_check(n):
 
     distinct = len({as_tuple(v) for v in vectors.values()}) == len(gens)
 
-    def functional(vec):
-        return sum((Fraction(n, 2) - k) * v for k, v in vec.items())
-
-    phi = {lam: functional(vectors[lam]) for lam in gens}
-    min_phi = min(phi.values()) if phi else Fraction(0)
-    target_phi = Fraction(n, 2)
-    bound = int(target_phi / min_phi) if min_phi > 0 else None
+    phi = [sum((n - 2 * k) * v for k, v in vec.items()) for vec in vectors.values()]
+    bound = n // min(phi)
     indecomposable = bound == 1
     longer = [lam for lam in partitions(n, min_parts=4)]
     decompositions = {}

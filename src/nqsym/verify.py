@@ -346,16 +346,11 @@ def check_splits(max_n=8, seed=0):
                 )
                 if lhs != rhs:
                     failures.append(f"invariant identity at {lam}, s={s}")
-                parent = res.certificate.parent.matroid()
-                le = res.certificate.child_le.matroid()
-                ge = res.certificate.child_ge.matroid()
-                if le.bases | ge.bases != parent.bases:
-                    failures.append(f"vertex union at {lam}, s={s}")
-                equality = {
-                    b for b in parent.bases if len(b & res.certificate.subset) == 1
-                }
-                if le.bases & ge.bases != equality:
-                    failures.append(f"vertex intersection at {lam}, s={s}")
+                cert = res.certificate
+                sides = [cert.child_le.matroid(), cert.child_ge.matroid()]
+                ok, why = mat.verify_polytope_decomposition(cert.parent.matroid(), sides, [cert])
+                if not ok:
+                    failures.append(f"split polytopes at {lam}, s={s}: {why}")
     for n in range(4, max_n + 1):
         for lam in partitions(n, min_parts=4):
             members = full_split_to_length3(lam)

@@ -83,7 +83,7 @@ def base_poset_by_definition(matroid, basis):
     get 1..n-r and base elements n-r+1..n, each side in ascending ground
     order, and b covers c when basis - b + c is a basis."""
     basis = frozenset(basis)
-    n = matroid.n
+    n, bases = matroid.n, matroid.bases
     base_sorted = sorted(basis)
     cob_sorted = [x for x in range(1, n + 1) if x not in basis]
     label = {}
@@ -95,7 +95,7 @@ def base_poset_by_definition(matroid, basis):
         (label[b], label[c])
         for b in base_sorted
         for c in cob_sorted
-        if ((basis - {b}) | {c}) in matroid.bases
+        if ((basis - {b}) | {c}) in bases
     ]
     return LabeledPoset(range(1, n + 1), relations)
 

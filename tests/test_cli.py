@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -88,6 +89,96 @@ M3 = (
 def test_golden_stdout_bytes(capsys):
     assert run_cli(["expand", "--comp", "2,1,3"], capsys=capsys) == (0, EXPAND_213)
     assert run_cli(["convert", "--to", "N"], M3, capsys) == (0, M3_TO_N)
+
+
+# stdout of the rank-two and matroid commands, frozen byte for byte: the
+# invariant of the class (3, 2, 1, 1) plus a loop, one split, one
+# decomposition into length-three classes, F of the graphic matroid of K4
+# (the 3-subsets of its six edges that are not triangles) and F of a matroid
+# with a loop, a coloop and one basis listed twice
+RECOVER_3211_LOOP = (
+    '{"basis": "N", "terms": ['
+    '{"comp": [3, 5], "num": 17, "den": 1}, '
+    '{"comp": [2, 1, 1, 4], "num": 119, "den": 1}, '
+    '{"comp": [2, 2, 1, 3], "num": 182, "den": 1}, '
+    '{"comp": [2, 3, 1, 2], "num": 170, "den": 1}, '
+    '{"comp": [2, 4, 1, 1], "num": 85, "den": 1}, '
+    '{"comp": [2, 5, 1], "num": 17, "den": 1}, '
+    '{"comp": [1, 1, 2, 4], "num": 34, "den": 1}, '
+    '{"comp": [1, 1, 1, 1, 1, 3], "num": 160, "den": 1}, '
+    '{"comp": [1, 1, 1, 2, 1, 2], "num": 204, "den": 1}, '
+    '{"comp": [1, 1, 1, 3, 1, 1], "num": 136, "den": 1}, '
+    '{"comp": [1, 1, 1, 4, 1], "num": 34, "den": 1}, '
+    '{"comp": [1, 2, 2, 3], "num": 12, "den": 1}, '
+    '{"comp": [1, 2, 1, 1, 1, 2], "num": 36, "den": 1}, '
+    '{"comp": [1, 2, 1, 2, 1, 1], "num": 36, "den": 1}, '
+    '{"comp": [1, 2, 1, 3, 1], "num": 12, "den": 1}]}'
+)
+K4_TRIANGLES = ({1, 2, 4}, {1, 3, 5}, {2, 3, 6}, {4, 5, 6})
+K4 = json.dumps(
+    {
+        "n": 6,
+        "bases": [
+            list(b) for b in itertools.combinations(range(1, 7), 3) if set(b) not in K4_TRIANGLES
+        ],
+    }
+)
+MATROID_GOLDENS = [
+    (
+        ["recover"],
+        RECOVER_3211_LOOP,
+        '{"case": "no-coloops", "coloops": 0, "lambda": [3, 2, 1, 1], "loops": 1, "n": 8}\n',
+    ),
+    (
+        ["rank2-split", "--lambda", "3,1,2,2", "--s", "2"],
+        "",
+        '{"alpha": [4, 2, 2], "beta": [3, 1, 4], "certificate": {"S": [1, 2, 3, 4], "children": '
+        '[{"blocks": [[1, 2, 3, 4], [5, 6], [7, 8]], "lambda": [4, 2, 2]}, '
+        '{"blocks": [[5, 6, 7, 8], [1, 2, 3], [4]], "lambda": [4, 3, 1]}], '
+        '"parent": {"blocks": [[1, 2, 3], [5, 6], [7, 8], [4]], "lambda": [3, 2, 2, 1]}}, '
+        '"mu": [4, 4]}\n',
+    ),
+    (
+        ["geom-decompose"],
+        '{"lambda": [3, 2, 2, 1, 1], "J": [[4, 3, 2], [5, 2, 2], [7, 1, 1]]}',
+        '{"representatives": '
+        '[{"blocks": [[6, 7, 8, 9], [1, 2, 3], [4, 5]], "lambda": [4, 3, 2]}, '
+        '{"blocks": [[1, 2, 3, 4, 5], [6, 7], [8, 9]], "lambda": [5, 2, 2]}, '
+        '{"blocks": [[1, 2, 3, 4, 5, 6, 7], [8], [9]], "lambda": [7, 1, 1]}], '
+        '"root": {"blocks": [[1, 2, 3], [4, 5], [6, 7], [8], [9]], "lambda": [3, 2, 2, 1, 1]}, '
+        '"splits": [{"S": [8, 9], "children": '
+        '[{"blocks": [[1, 2, 3], [4, 5], [6, 7], [8, 9]], "lambda": [3, 2, 2, 2]}, '
+        '{"blocks": [[1, 2, 3, 4, 5, 6, 7], [8], [9]], "lambda": [7, 1, 1]}], '
+        '"parent": '
+        '{"blocks": [[1, 2, 3], [4, 5], [6, 7], [8], [9]], "lambda": [3, 2, 2, 1, 1]}}, '
+        '{"S": [1, 2, 3, 4, 5], "children": '
+        '[{"blocks": [[1, 2, 3, 4, 5], [6, 7], [8, 9]], "lambda": [5, 2, 2]}, '
+        '{"blocks": [[6, 7, 8, 9], [1, 2, 3], [4, 5]], "lambda": [4, 3, 2]}], '
+        '"parent": {"blocks": [[1, 2, 3], [4, 5], [6, 7], [8, 9]], "lambda": [3, 2, 2, 2]}}], '
+        '"verified": true}\n',
+    ),
+    (
+        ["matroid-f"],
+        K4,
+        '{"element": {"basis": "N", "terms": [{"comp": [3, 3], "den": 1, "num": 16}, '
+        '{"comp": [2, 1, 1, 2], "den": 1, "num": 36}]}, "stats": {"coloops": 0, '
+        '"corner_coefficient": 16, "in_rank_space": true, "loops": 0, "loops_plus_coloops": 0, '
+        '"n": 6, "num_bases": 16, "rank": 3}}\n',
+    ),
+    (
+        ["matroid-f"],
+        '{"n": 4, "bases": [[1, 2], [2, 1], [1, 3]]}',
+        '{"element": {"basis": "N", "terms": [{"comp": [3, 1], "den": 1, "num": 2}, '
+        '{"comp": [2, 1, 1], "den": 1, "num": 4}, {"comp": [1, 1, 2], "den": 1, "num": 2}]}, '
+        '"stats": {"coloops": 1, "corner_coefficient": null, "in_rank_space": true, "loops": 1, '
+        '"loops_plus_coloops": 2, "n": 4, "num_bases": 2, "rank": 2}}\n',
+    ),
+]
+
+
+def test_golden_stdout_bytes_of_the_matroid_commands(capsys):
+    for argv, stdin_text, expected in MATROID_GOLDENS:
+        assert run_cli(argv, stdin_text, capsys) == (0, expected), argv
 
 
 def test_expand_pretty(capsys):
@@ -316,6 +407,13 @@ def test_matroid_f_rejects_bool_basis_element(capsys):
 
 def test_matroid_f_rejects_string_ground_set_size(capsys):
     assert_validation_error(*matroid_f({"n": "3", "bases": [[1, 2]]}, capsys))
+
+
+def test_matroid_f_rejects_repeated_basis_element(capsys):
+    # the repeat used to collapse, so [1, 2, 2] was read as the basis {1, 2}
+    code, out = matroid_f({"n": 3, "bases": [[1, 2, 2], [1, 3]]}, capsys)
+    assert_validation_error(code, out)
+    assert "repeats an element" in json.loads(out)["error"]["message"]
 
 
 def test_matroid_f_rejects_bases_not_a_list(capsys):

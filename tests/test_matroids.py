@@ -14,6 +14,12 @@ from _matroid_oracle import (
     qsym_of_matroid_by_extensions,
     qsym_of_matroid_by_flags,
 )
+from _rank2_oracle import (
+    full_split_by_split,
+    hilbert_basis_check_by_fractions,
+    rank2_qsym_by_u_vectors,
+    t_vec_by_terms,
+)
 from nqsym import compositions as comp
 from nqsym import matroids as mat
 from nqsym import qsym, verify
@@ -167,6 +173,25 @@ def test_internal_constructions_are_exchange_valid():
 def test_matroid_api_rejects_non_int_elements(call):
     with pytest.raises(ValidationError):
         call(uniform(2, 4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Matroid(3, [[1, 2, 2], [1, 3]]),
+        lambda: Matroid.from_json({"n": 3, "bases": [[1, 2], [3, 1, 3]]}),
+        lambda: mat.rank2_matroid_from_blocks([[1, 1], [2]]),
+        lambda: Matroid(3, [[1, 2]]).restriction([1, 1]),
+        lambda: uniform(2, 3).contraction([2, 2]),
+        lambda: mat.base_poset(uniform(2, 3), [1, 2, 2]),
+        lambda: mat.polytope_edge(uniform(2, 3), [1, 2], [1, 3, 3]),
+    ],
+    ids=["basis", "json-basis", "blocks", "restriction", "contraction", "base-poset", "edge"],
+)
+def test_matroid_api_rejects_repeated_elements(call):
+    # a repeat used to collapse silently: [1, 2, 2] was read as {1, 2}
+    with pytest.raises(ValidationError, match="repeats an element"):
+        call()
 
 
 def test_integer_arguments_of_the_public_api_are_strict():
@@ -521,6 +546,25 @@ def test_T_U_vectors():
         mat.T_vec(3, 3)
 
 
+def test_t_vector_closed_form_matches_term_by_term_sums():
+    rng = random.Random(18)
+    for n in range(2, 11):
+        for k in range(1, n):
+            assert mat.T_vec(n, k).to_json() == t_vec_by_terms(n, k).to_json(), (n, k)
+        for lam in comp.partitions(n, min_parts=2):
+            expected = rank2_qsym_by_u_vectors(lam)
+            assert mat.rank2_qsym(lam).to_json() == expected.to_json(), lam
+        # u_coordinates rebuilds its input from the coordinates it solved
+        # for, and raises if the rebuild differs
+        for _ in range(5):
+            t = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(1, n))
+            element = QSymElement.zero("N")
+            for k, tk in enumerate(t, start=1):
+                element = element + t_vec_by_terms(n, k).scale(tk * k * (n - k))
+            if element:
+                assert mat.u_coordinates(element) == (n, t)
+
+
 def test_U_vectors_span_rank_two_space():
     for n in range(2, 10):
         comps = [c for c in qsym.ordered_compositions(n) if comp.rank(c) == 2]
@@ -757,6 +801,22 @@ def test_full_split_to_length3():
             assert total == mat.ubar_coordinates_of_partition(lam)
 
 
+def test_full_split_closed_form_matches_split_certificates():
+    for n in range(4, 15):
+        for lam in comp.partitions(n, min_parts=4):
+            assert mat.full_split_to_length3(lam) == full_split_by_split(lam), lam
+    for lam in [(1, 1, 1), (3, 2, 1), (4, 4, 4)]:
+        assert mat.full_split_to_length3(lam) == full_split_by_split(lam) == (lam,)
+
+
+def test_ubar_coordinates_are_ints():
+    for n in range(2, 12):
+        for lam in comp.partitions(n, min_parts=2):
+            coords = mat.ubar_coordinates_of_partition(lam)
+            assert list(coords) == list(range(1, (n + 1) // 2))
+            assert all(type(v) is int for v in coords.values()), lam
+
+
 def test_geom_decompose_identity_and_splits():
     d = mat.geom_decompose((2, 1, 1), [(2, 1, 1)])
     assert d.verified and len(d.representatives) == 1
@@ -805,6 +865,28 @@ def test_verify_polytope_decomposition_negatives():
     stranger = uniform(2, parent.n)
     ok, reason = mat.verify_polytope_decomposition(parent, [stranger], d.splits)
     assert not ok and "outside" in reason
+    # a certificate with its two sides swapped, or with one side's class
+    # standing for the other, is caught on the <=1 side or the >=1 side
+    cert = d.splits[0]
+    swapped = cert._replace(child_le=cert.child_ge, child_ge=cert.child_le)
+    ok, reason = mat.verify_polytope_decomposition(parent, parts, [swapped])
+    assert not ok and "<=1 side" in reason
+    ok, reason = mat.verify_polytope_decomposition(
+        parent, parts, [cert._replace(child_ge=cert.child_le)]
+    )
+    assert not ok and ">=1 side" in reason
+    # every split of every class with n <= 8 passes, and fails once S
+    # trades its least element for n, off its block boundary
+    for n in range(3, 9):
+        for lam in comp.partitions(n, min_parts=3):
+            for s in range(1, len(lam)):
+                c = mat.split(lam, s).certificate
+                parent = c.parent.matroid()
+                sides = [c.child_le.matroid(), c.child_ge.matroid()]
+                assert mat.verify_polytope_decomposition(parent, sides, [c]) == (True, None)
+                if len(c.subset) > 1:
+                    moved = c._replace(subset=c.subset - {min(c.subset)} | {n})
+                    assert not mat.verify_polytope_decomposition(parent, sides, [moved])[0]
 
 
 def test_polytope_dim_and_edges():
@@ -839,6 +921,13 @@ def _generator_sums(n):
             total = {k: sum(vectors[lam][k] for lam in combo) for k in vectors[gens[0]]}
             found += [(lam, combo) for lam in gens if vectors[lam] == total]
     return found
+
+
+def test_hilbert_basis_check_matches_fraction_functional():
+    for n in range(3, 15):
+        report = mat.hilbert_basis_check(n)
+        assert list(report.items()) == list(hilbert_basis_check_by_fractions(n).items()), n
+        assert report["passed"] and report["sum_bound"] == 1
 
 
 def test_hilbert_indecomposability_matches_multiset_search():
@@ -889,19 +978,20 @@ def test_missing_edge_coefficient_counts_boundary_exchanges():
         checked += 1
         f = mat.qsym_of_matroid(m)
         coefficient = f.terms.get((r - 1, 1, 1, n - r - 1), 0)
+        bases = m.bases
         missing = 0
-        for basis in m.bases:
+        for basis in bases:
             for b in basis:
                 for c in range(1, n + 1):
                     if c in basis:
                         continue
-                    if frozenset(basis - {b} | {c}) not in m.bases:
+                    if frozenset(basis - {b} | {c}) not in bases:
                         missing += 1
         boundary = 0
         for basis in uniform(r, n).bases:
-            if basis in m.bases:
+            if basis in bases:
                 continue
-            for other in m.bases:
+            for other in bases:
                 if len(basis ^ other) == 2:
                     boundary += 1
         assert coefficient == missing == boundary
