@@ -97,7 +97,7 @@ def cmd_matroid_f(args):
         "rank": r,
         "loops": loops,
         "coloops": len(matroid.coloops()),
-        "num_bases": len(matroid.bases),
+        "num_bases": matroid.num_bases,
         "in_rank_space": in_Vnr(f, n, r + loops),
         "corner_coefficient": int(f.terms.get(drop_zero_parts((r, n - r)), 0))
         if loops == 0

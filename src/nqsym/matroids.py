@@ -10,7 +10,7 @@ bitmasks, bit i-1 for element i.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .compositions import (
     as_composition,
@@ -169,19 +169,43 @@ class Matroid:
     __slots__ = ("n", "_masks", "_mask_set")
 
     def __init__(self, n, bases):
+        """Each basis becomes its mask in one pass over its elements, and
+        the first fault found is reported: per basis in order, a non-int
+        element or a basis that is no collection, then a repeat; then over
+        the family, no basis, mixed sizes, an element outside [n] (kept
+        aside, never shifted into a mask) and the exchange axiom."""
         n = json_int(n, "ground set size")
         if n < 0:
             raise ValidationError("ground set size must be >= 0")
-        base_sets = frozenset(_int_set(b, "basis element") for b in bases)
-        if not base_sets:
+        masks, sizes, in_range = set(), set(), True
+        for b in bases:
+            mask, repeated, stray = 0, False, []
+            try:
+                for x in b:
+                    if type(x) is not int:
+                        x = json_int(x, "basis element")
+                    if 0 < x <= n:
+                        bit = 1 << (x - 1)
+                        if mask & bit:
+                            repeated = True
+                        mask |= bit
+                    else:
+                        stray.append(x)
+            except TypeError:
+                raise ValidationError(f"expected a set of basis elements, got {b!r}") from None
+            if repeated or stray and len(set(stray)) != len(stray):
+                raise ValidationError(f"a set of basis elements repeats an element: {b!r}")
+            sizes.add(mask.bit_count() + len(stray))
+            if stray:
+                in_range = False
+            else:
+                masks.add(mask)
+        if not sizes:
             raise ValidationError("a matroid needs at least one basis")
-        sizes = {len(b) for b in base_sets}
         if len(sizes) != 1:
             raise ValidationError("all bases must have the same cardinality")
-        for b in base_sets:
-            if any(not 1 <= x <= n for x in b):
-                raise ValidationError("basis elements must lie in [n]")
-        masks = [_mask_of(b) for b in base_sets]
+        if not in_range:
+            raise ValidationError("basis elements must lie in [n]")
         if not exchange_valid(masks):
             raise ValidationError("base family violates the exchange axiom")
         self._fill(n, masks)
@@ -217,6 +241,10 @@ class Matroid:
         """The bases as frozensets, rebuilt from the masks on every access
         (one frozenset per basis), so bind it once outside a loop."""
         return frozenset(frozenset(_elements_of(m)) for m in self._masks)
+
+    @property
+    def num_bases(self):
+        return len(self._masks)
 
     @property
     def rank(self):
@@ -421,20 +449,56 @@ def _basis_type_counts(rank, partners):
     return counts
 
 
+def _relabelled(rank, partners):
+    """The partner masks of a basis shape with its base positions renamed in
+    a fixed order, sorted.
+
+    Positions are ordered by their number of partners and then by the sorted
+    sizes of those partners' masks, ties kept in position order, and the
+    renaming is a bijection, so the result is the exchange graph of an
+    isomorphic shape.  Equal results are isomorphic graphs, though two
+    isomorphic graphs need not give equal results: it merges shapes without
+    being a complete canonical form.
+    """
+    sizes = [[] for _ in range(rank)]
+    for p in partners:
+        size = p.bit_count()
+        while p:
+            low = p & -p
+            p ^= low
+            sizes[low.bit_length() - 1].append(size)
+    signatures = [(len(mine), sorted(mine)) for mine in sizes]
+    new_bit = [0] * rank
+    for j, i in enumerate(sorted(range(rank), key=signatures.__getitem__)):
+        new_bit[i] = 1 << j
+    out = []
+    for p in partners:
+        q = 0
+        while p:
+            low = p & -p
+            p ^= low
+            q |= new_bit[low.bit_length() - 1]
+        out.append(q)
+    out.sort()
+    return tuple(out)
+
+
 def _interleave(n, masks):
     """The N-basis coefficients of F for a loopless family of bases on [n],
     interleaved on the side given, with no switch to the dual.
 
     A basis's type counts depend only on its rank and on the multiset of its
-    cobase elements' partner masks, written over the base positions 0..r-1
-    in ground order (its exchange graph, from _partner_masks, which
-    base_poset and Matroid.components read too); so the bases are grouped
-    by that shape, and each shape is interleaved once and weighted by the
-    number of its bases.  Within a shape only the base blocks are listed: a
-    cobase element is blocked while one of its partners is unplaced and
-    released after, and released elements are interchangeable, so each
-    cobase block is counted by its size with a binomial weight (see
-    _basis_type_counts).
+    cobase elements' partner masks over the base positions 0..r-1 (its
+    exchange graph, from _partner_masks, which base_poset and
+    Matroid.components read too), and only up to a renaming of those
+    positions, since a base block may be any submask.  So the bases are
+    grouped by their partner masks in ground order, the groups are merged
+    again under the renaming of _relabelled, and each merged shape is
+    interleaved once and weighted by the number of its bases.  Within a
+    shape only the base blocks are listed: a cobase element is blocked
+    while one of its partners is unplaced and released after, and released
+    elements are interchangeable, so each cobase block is counted by its
+    size with a binomial weight (see _basis_type_counts).
     """
     if n == 0:
         return {(): 1}
@@ -445,8 +509,12 @@ def _interleave(n, masks):
         partners = _partner_masks(bmask, full & ~bmask, mask_set)
         key = (bmask.bit_count(), tuple(sorted(partners)))
         shapes[key] = shapes.get(key, 0) + 1
-    acc = {}
+    classes = {}
     for (rank, partners), multiplicity in shapes.items():
+        key = (rank, _relabelled(rank, partners))
+        classes[key] = classes.get(key, 0) + multiplicity
+    acc = {}
+    for (rank, partners), multiplicity in classes.items():
         for typ, count in _basis_type_counts(rank, partners).items():
             acc[typ] = acc.get(typ, 0) + count * multiplicity
     return acc
@@ -723,12 +791,15 @@ def u_coordinates(element):
     """Coordinates of a homogeneous member of the rank-two span over the U
     vectors; returns (n, tuple of n-1 Fractions).
 
-    In sum_k t_k U(n,k) the coefficient of N(1,j,1,n-2-j) is
-    sum_{k>j} t_k k(n-k) C(k-1,j), whose k = j+1 entry (j+1)(n-j-1) is
-    nonzero, so t_{n-1}, ..., t_2 are back-substituted for j = n-2 down to
-    1; t_1 is then read off the N(2,n-2) coefficient, (1/2) sum_k t_k k(n-k).
-    Membership in the span is checked by rebuilding the element in closed
-    form (_t_sum with weights t_k k(n-k)).
+    The rank-two compositions of weight n are N(2,n-2) and the n-2
+    compositions N(1,j,1,n-2-j), and the n-1 U vectors span them, so every
+    member has coordinates.  With s_k = t_k k(n-k) the coefficient of
+    N(1,j,1,n-2-j) is c_j = sum_{k>j} s_k C(k-1,j), which binomial inversion
+    solves as s_{i+1} = sum_{j>=i} (-1)^(j-i) C(j,i) c_j; the coefficient
+    e of N(2,n-2) is (1/2) sum_k s_k, so s_1 = 2e - sum_{k>=2} s_k.  The
+    solve runs on int numerators over the common denominator D of the
+    coefficients, and t_k = s_k / (k(n-k) D) is the one Fraction made per
+    coordinate.
     """
     q = convert(element, "N")
     if not q:
@@ -736,24 +807,25 @@ def u_coordinates(element):
     n = q.degree()
     if n < 2 or not in_Vnr(q, n, 2):
         raise ValidationError("element does not lie in the rank-two span")
-    t = [Fraction(0)] * n
-    for j in range(n - 2, 0, -1):
-        rest = q.terms.get(drop_zero_parts((1, j, 1, n - 2 - j)), 0)
-        rest -= sum(t[k] * k * (n - k) * comb(k - 1, j) for k in range(j + 2, n))
-        t[j + 1] = Fraction(rest) / ((j + 1) * (n - j - 1))
-    rest = 2 * q.terms.get(drop_zero_parts((2, n - 2)), 0)
-    rest -= sum(t[k] * k * (n - k) for k in range(2, n))
-    t[1] = Fraction(rest) / (n - 1)
-    if _t_sum(n, [(k, t[k] * k * (n - k)) for k in range(1, n)]) != q:
-        raise ValidationError("element does not lie in the span of the U vectors")
-    return n, tuple(t[1:])
+    denom = lcm(*(v.denominator for v in q.terms.values()))
+
+    def numerator(comp):
+        v = q.terms.get(drop_zero_parts(comp), 0)
+        return v.numerator * (denom // v.denominator)
+
+    c = [0] + [numerator((1, j, 1, n - 2 - j)) for j in range(1, n - 1)]
+    s = [0, 0]
+    for i in range(1, n - 1):
+        s.append(sum((-1) ** (j - i) * comb(j, i) * c[j] for j in range(i, n - 1)))
+    s[1] = 2 * numerator((2, n - 2)) - sum(s[2:])
+    return n, tuple(Fraction(s[k], k * (n - k) * denom) for k in range(1, n))
 
 
 def mod_m2(element):
     """Class of a rank-two-span element modulo products: coordinates on the
     Ubar vectors indexed by 1 <= k < n/2."""
     n, t = u_coordinates(element)
-    return {k: t[k - 1] - t[n - k - 1] for k in range(1, (n + 1) // 2) if 2 * k != n}
+    return {k: t[k - 1] - t[n - k - 1] for k in range(1, (n + 1) // 2)}
 
 
 def ubar_coordinates_of_partition(lam):

@@ -210,7 +210,7 @@ def _membership_failures(matroid, label):
     if not all(isinstance(v, int) and v > 0 for v in f.terms.values()):
         out.append(f"{label}: coefficients not positive integers")
     corner = drop_zero_parts((r, n - r))
-    if f.terms.get(corner, 0) != len(matroid.bases):
+    if f.terms.get(corner, 0) != matroid.num_bases:
         out.append(f"{label}: corner coefficient is not the number of bases")
     return out
 

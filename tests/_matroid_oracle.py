@@ -9,7 +9,10 @@ sum over the bases of the generating function of each exchange poset;
 listing every linear extension of every base poset gives a second
 reference.  Both are converted to the N basis.  The type counts of one
 basis shape have a third reference, which lists every cobase block as a
-subset instead of counting it by its size.
+subset instead of counting it by its size, and the grouping of the bases
+into shapes has one too: the bases keyed on their partner masks in ground
+order, with no merging of shapes that differ by a renaming of base
+positions.
 
 The exchange graph of a basis, which the package reads for F, the base
 posets and the components, has references here as well: the base poset
@@ -20,7 +23,7 @@ common circuit", with the circuits found among all 2^n subsets.
 from collections import Counter
 
 from nqsym.elements import QSymElement
-from nqsym.matroids import base_poset
+from nqsym.matroids import _basis_type_counts, _partner_masks, base_poset
 from nqsym.posets import LabeledPoset, qsym_of_poset
 from nqsym.qsym import convert
 
@@ -183,3 +186,22 @@ def basis_type_counts_by_subsets(rank, partners):
 
     rec((1 << rank) - 1, (1 << len(partners)) - 1, ())
     return counts
+
+
+def interleave_by_exact_shapes(n, masks):
+    """The N-basis coefficients of matroids._interleave, with the bases
+    grouped only by their partner masks in ground order: each such shape is
+    interleaved once, whether or not it is a renaming of another."""
+    if n == 0:
+        return {(): 1}
+    full = (1 << n) - 1
+    mask_set = frozenset(masks)
+    shapes = Counter()
+    for bmask in masks:
+        partners = _partner_masks(bmask, full & ~bmask, mask_set)
+        shapes[bmask.bit_count(), tuple(sorted(partners))] += 1
+    acc = Counter()
+    for (rank, partners), multiplicity in shapes.items():
+        for typ, count in _basis_type_counts(rank, partners).items():
+            acc[typ] += count * multiplicity
+    return dict(acc)

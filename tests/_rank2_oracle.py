@@ -1,11 +1,11 @@
 """Element-by-element references for the closed forms of the rank-two
 theory in nqsym.matroids.
 
-The package writes the T-vector sum once, in closed form, and reads the
-invariant of a rank-two class and the membership rebuild of u_coordinates
-off it; it splits a partition into length-three classes by the closed form
-of split(lam, 2); and it decides the Hilbert basis bound on the functional
-doubled, in ints.  These oracles do the same work the older way: each T
+The package writes the T-vector sum once, in closed form, and reads each
+T vector and the invariant of a rank-two class off it; it splits a
+partition into length-three classes by the closed form of split(lam, 2);
+and it decides the Hilbert basis bound on the functional doubled, in
+ints.  These oracles do the same work the older way: each T
 vector written out term by term and the invariant added up as U vectors,
 every split step read off the certificate that split builds, and the
 functional taken in Fractions.

@@ -11,6 +11,7 @@ from _matroid_oracle import (
     basis_type_counts_by_subsets,
     circuits,
     components_by_circuits,
+    interleave_by_exact_shapes,
     qsym_of_matroid_by_extensions,
     qsym_of_matroid_by_flags,
 )
@@ -192,6 +193,78 @@ def test_matroid_api_rejects_repeated_elements(call):
     # a repeat used to collapse silently: [1, 2, 2] was read as {1, 2}
     with pytest.raises(ValidationError, match="repeats an element"):
         call()
+
+
+_TYPE = "basis element must be an integer, got "
+_REPEAT = "a set of basis elements repeats an element: "
+_RANGE = "basis elements must lie in [n]"
+_SIZES = "all bases must have the same cardinality"
+
+
+# Each malformed input with the message Matroid(n, bases) gave for it before
+# validation built the masks in one pass.  From [[1, 1, 2.5]] on most inputs
+# break two rules, and the message names the rule that was reported first.
+@pytest.mark.parametrize(
+    "n, bases, message",
+    [
+        (3, [[1, True], [1, 2]], _TYPE + "True"),
+        (3, [[1, 2.0]], _TYPE + "2.0"),
+        (3, [["1", 2]], _TYPE + "'1'"),
+        (3, [None], "expected a set of basis elements, got None"),
+        (3, [[1, 2], 5], "expected a set of basis elements, got 5"),
+        (3, ["12", [1, 2]], _TYPE + "'1'"),
+        (3, [[1, 1], [1, 2]], _REPEAT + "[1, 1]"),
+        (3, [[0, 1]], _RANGE),
+        (3, [[1, 4]], _RANGE),
+        (3, [[-1, 2]], _RANGE),
+        (3, [[1, 10**30]], _RANGE),
+        (3, [[1, 2], [1]], _SIZES),
+        (3, [], "a matroid needs at least one basis"),
+        (4, [[1, 2], [3, 4]], "base family violates the exchange axiom"),
+        (-1, [[1]], "ground set size must be >= 0"),
+        (True, [[1]], "ground set size must be an integer, got True"),
+        (2.0, [[1]], "ground set size must be an integer, got 2.0"),
+        (3, [[1, 1, 2.5]], _TYPE + "2.5"),
+        (3, [[2.5, 1, 1]], _TYPE + "2.5"),
+        (3, [[1, 1], [1, "a"]], _REPEAT + "[1, 1]"),
+        (3, [["a"], [1, 1]], _TYPE + "'a'"),
+        (3, [[1.5], 7], _TYPE + "1.5"),
+        (3, [7, [1.5]], "expected a set of basis elements, got 7"),
+        (3, [[1, 9], [1]], _SIZES),
+        (4, [[1, 2], [3, 9]], _RANGE),
+        (3, [[0, 0]], _REPEAT + "[0, 0]"),
+        (3, [[4, 4], [1, 2]], _REPEAT + "[4, 4]"),
+        (3, [[], [1]], _SIZES),
+        (3, [[1, 2], [1, 0, 2]], _SIZES),
+        (-1, [[1, 1]], "ground set size must be >= 0"),
+        (3, [[5, 1], [6, 1]], _RANGE),
+        (3, [[1, 2], [2, 1], [3, 4]], _RANGE),
+        (4, [[1, 2], [3, 4], [1, 5]], _RANGE),
+        (3, [[1, 2], [None, 1]], _TYPE + "None"),
+        (3, [[1, 2], [1, 2, 3], [0]], _SIZES),
+    ],
+)
+def test_malformed_matroid_input_messages(n, bases, message):
+    with pytest.raises(ValidationError) as info:
+        Matroid(n, bases)
+    assert str(info.value) == message
+    if type(n) is int and all(type(b) is list for b in bases):
+        with pytest.raises(ValidationError) as info:
+            Matroid.from_json({"n": n, "bases": bases})
+        assert str(info.value) == message
+
+
+def test_well_formed_matroid_input_edge_cases():
+    class Element(int):
+        pass
+
+    assert Matroid(2, [[Element(1)], [Element(2)]]) == uniform(1, 2)
+    assert Matroid(3, [[1, 2], [2, 1]]) == Matroid(3, [(2, 1)]) == Matroid(3, [{1, 2}])
+    assert Matroid(0, [[]]) == uniform(0, 0)
+    assert Matroid(4, iter([iter([3, 1]), (1, 4), {3, 4}])).to_json() == {
+        "n": 4,
+        "bases": [[1, 3], [1, 4], [3, 4]],
+    }
 
 
 def test_integer_arguments_of_the_public_api_are_strict():
@@ -428,11 +501,10 @@ def test_smaller_side_matches_no_switch_route_and_flags():
     assert flagged >= 300, flagged
 
 
-def test_components_match_circuit_oracle():
-    for m in _labelled_matroids(5):
-        expected = components_by_circuits(m)
-        assert m.components() == expected, m
-        assert mat.polytope_dim(m) == m.n - len(expected), m
+def _sampled_matroids():
+    """80 sampled loopless matroids on up to 9 elements, every other one
+    summed with a second sample, with 0-2 loops and 0-1 coloops added and
+    the elements relabelled at random."""
     rng = random.Random(41)
     for trial in range(80):
         m = mat.sample_loopless_matroid(rng, rng.randint(1, 9))
@@ -443,8 +515,22 @@ def test_components_match_circuit_oracle():
             m = m.direct_sum(uniform(0, 1))
         for _ in range(rng.randint(0, 1)):
             m = m.direct_sum(uniform(1, 1))
-        m = _relabeled_matroid(m, rng)
+        yield _relabeled_matroid(m, rng)
+
+
+def test_components_match_circuit_oracle():
+    for m in _labelled_matroids(5):
+        expected = components_by_circuits(m)
+        assert m.components() == expected, m
+        assert mat.polytope_dim(m) == m.n - len(expected), m
+    for m in _sampled_matroids():
         assert m.components() == components_by_circuits(m), m
+
+
+def test_num_bases_counts_without_building_frozensets():
+    for m in _labelled_matroids(4):
+        assert m.num_bases == len(m.bases) == len(m._masks), m
+    assert Matroid(3, [[1, 2], [2, 1], [1, 3]]).num_bases == 2
 
 
 def test_base_poset_matches_label_by_label_construction():
@@ -463,6 +549,74 @@ def test_basis_type_counts_match_subset_enumeration_exhaustively():
             for partners in itertools.combinations_with_replacement(range(1, 1 << rank), size):
                 expected = basis_type_counts_by_subsets(rank, partners)
                 assert mat._basis_type_counts(rank, partners) == expected, (rank, partners)
+
+
+def test_basis_type_counts_invariant_under_renaming_base_positions():
+    # the merge of shapes in _interleave rests on this: every shape of rank
+    # <= 3 with <= 4 cobase elements, partnerless ones included, under every
+    # permutation of its base positions; _relabelled must return a renaming
+    shapes = 0
+    for rank in range(1, 4):
+        for size in range(5):
+            for partners in itertools.combinations_with_replacement(range(1 << rank), size):
+                expected = mat._basis_type_counts(rank, partners)
+                renamings = set()
+                for perm in itertools.permutations(range(rank)):
+                    renamed = tuple(
+                        sorted(sum(1 << perm[i] for i in range(rank) if p >> i & 1) for p in partners)
+                    )
+                    renamings.add(renamed)
+                    assert mat._basis_type_counts(rank, renamed) == expected, (rank, partners, perm)
+                assert mat._relabelled(rank, partners) in renamings, (rank, partners)
+                shapes += 1
+    assert shapes == 15 + 70 + 495
+
+
+def _merge_test_families():
+    """Base mask lists: every labelled matroid on [n], n <= 5, and the
+    complements of its bases; then the sampled matroids of
+    test_components_match_circuit_oracle on the side that qsym_of_matroid
+    interleaves, the complements when 2r > n."""
+    for m in _labelled_matroids(5):
+        yield m.n, list(m._masks)
+        yield m.n, [((1 << m.n) - 1) ^ b for b in m._masks]
+    for m in _sampled_matroids():
+        if 2 * m.rank > m.n:
+            m = m.dual()
+        yield m.n, list(m._masks)
+
+
+def test_merged_interleave_matches_exact_shape_grouping():
+    merged = 0
+    for n, masks in _merge_test_families():
+        assert mat._interleave(n, masks) == interleave_by_exact_shapes(n, masks), (n, masks)
+        full = (1 << n) - 1
+        exact = {
+            tuple(sorted(mat._partner_masks(b, full & ~b, frozenset(masks)))) for b in masks
+        }
+        rank = masks[0].bit_count()
+        merged += len(exact) - len({mat._relabelled(rank, p) for p in exact})
+    # the families must exercise the merge, not only the exact-key grouping
+    assert merged >= 100, merged
+
+
+def test_a_relabelling_that_is_no_bijection_is_caught(monkeypatch):
+    # a mutant that sends the last base position onto the one before it
+    # must make the merged interleaving differ from the exact-key oracle
+    relabelled = mat._relabelled
+
+    def collapsed(rank, partners):
+        out = relabelled(rank, partners)
+        if rank < 2:
+            return out
+        top = 1 << (rank - 1)
+        return tuple(sorted(p ^ top | top >> 1 if p & top else p for p in out))
+
+    monkeypatch.setattr(mat, "_relabelled", collapsed)
+    assert any(
+        mat._interleave(n, masks) != interleave_by_exact_shapes(n, masks)
+        for n, masks in _merge_test_families()
+    )
 
 
 def test_fast_path_matches_extensions_on_uniform_and_rank_two_families():
@@ -554,8 +708,8 @@ def test_t_vector_closed_form_matches_term_by_term_sums():
         for lam in comp.partitions(n, min_parts=2):
             expected = rank2_qsym_by_u_vectors(lam)
             assert mat.rank2_qsym(lam).to_json() == expected.to_json(), lam
-        # u_coordinates rebuilds its input from the coordinates it solved
-        # for, and raises if the rebuild differs
+        # u_coordinates solves for the coordinates the element was built
+        # from, exactly, on random fractional weights
         for _ in range(5):
             t = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(1, n))
             element = QSymElement.zero("N")
