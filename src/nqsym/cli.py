@@ -88,7 +88,11 @@ def cmd_matroid_f(args):
     from .matroids import Matroid, loops_coloops_from_qsym, qsym_of_matroid
 
     matroid = Matroid.from_json(_read_json_stdin())
-    f = qsym_of_matroid(matroid, limit=args.max_n)
+    if matroid.n > args.max_n:
+        raise ResourceLimitError(
+            f"matroid on {matroid.n} elements exceeds enumeration limit {args.max_n}"
+        )
+    f = qsym_of_matroid(matroid)
     result = convert(f, args.basis)
     r, n = matroid.rank, matroid.n
     loops = len(matroid.loops())

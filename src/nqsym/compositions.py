@@ -343,6 +343,15 @@ def json_int(value, what):
     return value
 
 
+def json_iter(value, what):
+    """An iterator over a collection from the Python API; a value that is
+    no collection at all (an int, say) is rejected under its name."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be a collection, got {value!r}") from None
+
+
 def composition_from_json(data):
     if not isinstance(data, list):
         raise ValidationError("composition JSON must be an array of positive ints")

@@ -13,6 +13,7 @@ from .compositions import (
     composition_from_json,
     format_composition,
     json_int,
+    json_iter,
     term_order_key,
     weight,
 )
@@ -37,7 +38,7 @@ def _normalized_terms(basis, terms, key):
     if basis not in BASES:
         raise ValidationError(f"unknown basis tag {basis!r}")
     clean = {}
-    items = terms.items() if isinstance(terms, dict) else terms
+    items = terms.items() if isinstance(terms, dict) else json_iter(terms, "terms")
     for k, coeff in items:
         k = key(k)
         coeff = _norm_coeff(coeff)

@@ -16,13 +16,14 @@ from .compositions import (
     as_composition,
     drop_zero_parts,
     json_int,
+    json_iter,
     partitions,
     reversal,
     weight,
 )
 from .elements import QSymElement
-from .errors import NotDivisibleError, ResourceLimitError, ValidationError
-from .posets import DEFAULT_ENUMERATION_LIMIT, LabeledPoset
+from .errors import NotDivisibleError, ValidationError
+from .posets import LabeledPoset
 from .qsym import (
     convert,
     divide_by_pure_power,
@@ -79,18 +80,21 @@ def exchange_valid(base_masks):
     ext[b - x] gaining x for each basis b and x in b, and each is checked
     once.  The bases meeting an ext value are the union over its elements of
     the bases holding each one, kept as a bitset over the family.
+    The family is read once, as given: a basis listed twice holds two bits,
+    and an ext value meets both or neither, so repeats leave the verdict
+    unchanged.
     """
-    masks = set(base_masks)
     holders = {}
     ext = {}
-    for j, b in enumerate(masks):
+    j = -1
+    for j, b in enumerate(base_masks):
         rest = b
         while rest:
             bit = rest & -rest
             rest ^= bit
             holders[bit] = holders.get(bit, 0) | 1 << j
             ext[b ^ bit] = ext.get(b ^ bit, 0) | bit
-    everyone = (1 << len(masks)) - 1
+    everyone = (1 << j + 1) - 1
     for x in ext.values():
         met = 0
         while x:
@@ -178,7 +182,7 @@ class Matroid:
         if n < 0:
             raise ValidationError("ground set size must be >= 0")
         masks, sizes, in_range = set(), set(), True
-        for b in bases:
+        for b in json_iter(bases, "bases"):
             mask, repeated, stray = 0, False, []
             try:
                 for x in b:
@@ -527,19 +531,11 @@ def _times_loops(acc, k):
     return nbasis_product(element, QSymElement.single("N", (k,))) if k else element
 
 
-def _check_limit(matroid, limit):
-    if matroid.n > limit:
-        raise ResourceLimitError(
-            f"matroid on {matroid.n} elements exceeds enumeration limit {limit}"
-        )
-
-
 def _qsym_by_interleaving(matroid):
     """The invariant with the loops stripped and multiplied back in, and the
     rest interleaved on the side given (see _interleave): the route that
     duality_check reads on a matroid and on its dual, so that the two are
     computed independently."""
-    _check_limit(matroid, DEFAULT_ENUMERATION_LIMIT)
     union = 0
     for m in matroid._masks:
         union |= m
@@ -548,7 +544,7 @@ def _qsym_by_interleaving(matroid):
     return _times_loops(_interleave(core.n, core._masks), loops.bit_count())
 
 
-def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
+def qsym_of_matroid(matroid):
     """The invariant of a matroid in the N basis, interleaved on the smaller
     side of duality.
 
@@ -562,7 +558,6 @@ def qsym_of_matroid(matroid, limit=DEFAULT_ENUMERATION_LIMIT):
     when 2r > n the complements of the bases are interleaved and every
     composition is reversed.
     """
-    _check_limit(matroid, limit)
     full = (1 << matroid.n) - 1
     union, inter = 0, full
     for m in matroid._masks:
@@ -647,7 +642,8 @@ def rank2_qsym(lam):
 
 def rank2_matroid_from_blocks(blocks):
     """Rank-two matroid whose bases are the pairs across distinct blocks."""
-    blocks = [b for b in (_int_set(b, "block element") for b in blocks) if b]
+    sets = (_int_set(b, "block element") for b in json_iter(blocks, "blocks"))
+    blocks = [b for b in sets if b]
     if len(blocks) < 2:
         raise ValidationError("need at least two parallelism classes")
     elements = sorted(x for b in blocks for x in b)
@@ -1032,7 +1028,7 @@ def geom_decompose(lam, members):
     """
     lam = _check_partition(lam, min_parts=3)
     n = weight(lam)
-    members = [(_check_partition(m, min_parts=3)) for m in members]
+    members = [_check_partition(m, min_parts=3) for m in json_iter(members, "members")]
     if any(weight(m) != n for m in members):
         raise ValidationError("all partitions must have the same weight")
     if not _class_equation_holds(lam, members):

@@ -492,6 +492,7 @@ class TransitionMatrix(namedtuple("TransitionMatrix", "n source target order row
 def transition_matrix(n, source, target):
     """The literal change-of-basis matrix at degree n, rows and columns in
     binary word order."""
+    n = json_int(n, "transition matrix degree")
     if n < 1:
         raise ValidationError("transition matrices are defined for degree >= 1")
     order = ordered_compositions(n)

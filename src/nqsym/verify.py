@@ -295,10 +295,7 @@ def check_recovery(max_n=9):
             rec = recover_rank2(rank2_qsym(lam))
             if rec.lam != lam or rec.loops != 0:
                 failures.append(f"pure recovery at {lam}")
-            with_loop = qsym_of_matroid(
-                rank2_from_partition(lam).direct_sum(uniform(0, 1)),
-                limit=max_n + 1,
-            )
+            with_loop = qsym_of_matroid(rank2_from_partition(lam).direct_sum(uniform(0, 1)))
             rec = recover_rank2(with_loop)
             if rec.lam != lam or rec.loops != 1:
                 failures.append(f"loop recovery at {lam}")

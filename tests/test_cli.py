@@ -295,6 +295,28 @@ def test_error_exit_codes(capsys):
     assert code == 1
 
 
+def test_matroid_f_bounds_the_ground_set_after_validating(capsys):
+    # the one matroid size check: --max-n, applied once the input is valid
+    big = json.dumps({"n": 14, "bases": [list(range(1, 15))]})
+    code, out = run_cli(["matroid-f"], big, capsys)
+    assert code == 2
+    assert out == (
+        '{"error": {"kind": "resource-limit", '
+        '"message": "matroid on 14 elements exceeds enumeration limit 12"}}\n'
+    )
+    code, out = run_cli(["matroid-f", "--max-n", "14"], big, capsys)
+    assert code == 0
+    element = json.loads(out)["element"]
+    assert element == {"basis": "N", "terms": [{"comp": [14], "num": 1, "den": 1}]}
+    no_exchange = json.dumps({"n": 14, "bases": [[1, 2], [3, 4]]})
+    code, out = run_cli(["matroid-f"], no_exchange, capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "ValidationError",
+        "message": "base family violates the exchange axiom",
+    }
+
+
 def test_verify_small(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, out = run_cli(

@@ -291,6 +291,29 @@ def test_integer_arguments_of_the_public_api_are_strict():
             call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Matroid(3, 5), "bases must be a collection, got 5"),
+        (lambda: mat.rank2_matroid_from_blocks(5), "blocks must be a collection, got 5"),
+        (lambda: mat.geom_decompose((3, 2, 1), 5), "members must be a collection, got 5"),
+        (lambda: QSymElement("N", 5), "terms must be a collection, got 5"),
+        (
+            lambda: qsym.transition_matrix(2.0, "N", "M"),
+            "transition matrix degree must be an integer, got 2.0",
+        ),
+    ],
+    ids=[
+        "Matroid", "rank2_matroid_from_blocks", "geom_decompose", "QSymElement",
+        "transition_matrix",
+    ],
+)
+def test_non_collection_arguments_are_named(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_base_poset_uniform_is_complete_bipartite():
     u = uniform(2, 4)
     p = mat.base_poset(u, frozenset({1, 2}))
@@ -321,11 +344,24 @@ def test_qsym_of_matroid_uniform():
             f = mat.qsym_of_matroid(uniform(r, n))
             expected_comp = comp.drop_zero_parts((r, n - r)) if r else (n,)
             assert f.terms == {expected_comp: comb(n, r)}
-    # rank above n/2, through the dual, up to the default limit n = 12
-    for n in range(8, 13):
+    # rank above n/2, through the dual
+    for n in range(8, 15):
         for r in range(n // 2 + 1, n + 1):
             f = mat.qsym_of_matroid(uniform(r, n))
             assert f.terms == {comp.drop_zero_parts((r, n - r)): comb(n, r)}, (r, n)
+    assert mat.qsym_of_matroid(uniform(12, 13)).terms == {(12, 1): 13}
+
+
+def test_no_ground_set_cap_past_twelve_elements():
+    # F and both of duality_check's routes take any n; only the CLI bounds
+    # its input (matroid-f --max-n)
+    m = uniform(12, 13).direct_sum(uniform(0, 1)).direct_sum(uniform(1, 1))
+    assert m.n == 15
+    assert mat._qsym_by_interleaving(m) == mat.qsym_of_matroid(m)
+    sampled = mat.sample_loopless_matroid(random.Random(3), 13)
+    assert (sampled.n, sampled.rank, sampled.num_bases) == (13, 4, 665)
+    report = mat.duality_check(sampled)
+    assert all(report[key] is True for key in report), report
 
 
 def test_fast_path_matches_linear_extension_oracle():
@@ -389,6 +425,19 @@ def test_exchange_valid_matches_pairwise_oracle_exhaustively():
     assert families == 2229
     # the labelled matroids on [n], n <= 5: 1, 2, 5, 16, 68, 406
     assert sum(1 for _ in _labelled_matroids(5)) == 498
+
+
+def test_exchange_valid_reads_any_iterable_once():
+    # a repeated basis meets an extension set exactly when its twin does, so
+    # a set, every basis listed twice and a one-shot generator agree
+    verdicts = {True: 0, False: 0}
+    for n in range(6):
+        for masks in _equal_size_families(n):
+            verdict = mat.exchange_valid(set(masks))
+            assert mat.exchange_valid(masks + masks[::-1]) == verdict, masks
+            assert mat.exchange_valid(m for m in masks) == verdict, masks
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_exchange_valid_matches_pairwise_oracle_on_random_families():

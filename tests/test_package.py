@@ -62,7 +62,7 @@ def test_oracle_routes_and_selectors_stay_out_of_the_package():
         assert not hasattr(module, name), name
     for function, params in [
         (matroids.exchange_valid, ["base_masks"]),
-        (matroids.qsym_of_matroid, ["matroid", "limit"]),
+        (matroids.qsym_of_matroid, ["matroid"]),
         (matroids.duality_check, ["matroid"]),
         (matroids.sample_loopless_matroid, ["rng", "n"]),
         (posets.qsym_of_poset, ["poset"]),
