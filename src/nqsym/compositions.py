@@ -15,10 +15,6 @@ from itertools import permutations as _permutations, product as _product
 
 from .errors import ValidationError
 
-Composition = tuple
-Permutation = tuple
-OrderedPartition = tuple
-
 
 # ---------------------------------------------------------------------------
 # compositions
@@ -30,7 +26,7 @@ def as_composition(parts):
     A part that is not an int (a bool, float or string) is rejected, never
     converted, so nothing is silently truncated.
     """
-    comp = tuple(parts)
+    comp = parts if type(parts) is tuple else tuple(json_iter(parts, "composition"))
     for p in comp:
         if type(p) is not int:
             raise ValidationError(f"composition parts must be integers, got {p!r}")

@@ -39,7 +39,11 @@ def _normalized_terms(basis, terms, key):
         raise ValidationError(f"unknown basis tag {basis!r}")
     clean = {}
     items = terms.items() if isinstance(terms, dict) else json_iter(terms, "terms")
-    for k, coeff in items:
+    for term in items:
+        try:
+            k, coeff = term
+        except (TypeError, ValueError):
+            raise ValidationError(f"a term must be a (key, coefficient) pair, got {term!r}") from None
         k = key(k)
         coeff = _norm_coeff(coeff)
         if not coeff:

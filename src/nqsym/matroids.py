@@ -9,6 +9,7 @@ bitmasks, bit i-1 for element i.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb, lcm
 
@@ -317,28 +318,31 @@ class Matroid:
         graph for bases in matroids", 1977).  Loops and coloops have no
         exchange and come out as singletons.
         """
+        return tuple(frozenset(_elements_of(p)) for p in self._component_masks())
+
+    def _component_masks(self):
+        """The components as masks, in the order of components()."""
         bmask = self._masks[0]
         outside = ((1 << self.n) - 1) & ~bmask
-        parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        base = _elements_of(bmask)
-        partners = _partner_masks(bmask, outside, self._mask_set)
-        for f, pmask in zip(_elements_of(outside), partners):
-            for i, e in enumerate(base):
+        base = [1 << i for i in range(self.n) if bmask >> i & 1]
+        parts = []
+        for pmask in _partner_masks(bmask, outside, self._mask_set):
+            joined, keep = outside & -outside, []
+            outside ^= joined
+            for i, bit in enumerate(base):
                 if pmask >> i & 1:
-                    parent[find(e)] = find(f)
-        groups = {}
-        for x in range(1, self.n + 1):
-            groups.setdefault(find(x), []).append(x)
-        return tuple(
-            frozenset(g) for g in sorted(groups.values(), key=lambda g: g[0])
-        )
+                    joined |= bit
+            # the parts are disjoint, so one pass merges every part that
+            # meets the new edges
+            for p in parts:
+                if p & joined:
+                    joined |= p
+                else:
+                    keep.append(p)
+            parts = keep + [joined]
+        covered = sum(parts)
+        parts += [bit for bit in base if not bit & covered]
+        return sorted(parts, key=lambda p: p & -p)
 
     def __eq__(self, other):
         return (
@@ -487,9 +491,10 @@ def _relabelled(rank, partners):
     return tuple(out)
 
 
-def _interleave(n, masks):
-    """The N-basis coefficients of F for a loopless family of bases on [n],
-    interleaved on the side given, with no switch to the dual.
+def _interleave(ground, masks):
+    """The N-basis coefficients of F for a loopless family of bases on the
+    elements of the mask ground, kept in place, interleaved on the side
+    given, with no switch to the dual.
 
     A basis's type counts depend only on its rank and on the multiset of its
     cobase elements' partner masks over the base positions 0..r-1 (its
@@ -504,13 +509,12 @@ def _interleave(n, masks):
     elements are interchangeable, so each cobase block is counted by its
     size with a binomial weight (see _basis_type_counts).
     """
-    if n == 0:
+    if not ground:
         return {(): 1}
-    full = (1 << n) - 1
     mask_set = frozenset(masks)
     shapes = {}
     for bmask in masks:
-        partners = _partner_masks(bmask, full & ~bmask, mask_set)
+        partners = _partner_masks(bmask, ground & ~bmask, mask_set)
         key = (bmask.bit_count(), tuple(sorted(partners)))
         shapes[key] = shapes.get(key, 0) + 1
     classes = {}
@@ -524,13 +528,6 @@ def _interleave(n, masks):
     return acc
 
 
-def _times_loops(acc, k):
-    """The element with N coefficients acc, times N[(k,)], the invariant of
-    k loops (or coloops)."""
-    element = QSymElement._trusted("N", acc)
-    return nbasis_product(element, QSymElement.single("N", (k,))) if k else element
-
-
 def _qsym_by_interleaving(matroid):
     """The invariant with the loops stripped and multiplied back in, and the
     rest interleaved on the side given (see _interleave): the route that
@@ -539,39 +536,42 @@ def _qsym_by_interleaving(matroid):
     union = 0
     for m in matroid._masks:
         union |= m
-    loops = ((1 << matroid.n) - 1) & ~union
-    core = matroid._minor(0, union) if loops else matroid
-    return _times_loops(_interleave(core.n, core._masks), loops.bit_count())
+    element = QSymElement._trusted("N", _interleave(union, matroid._masks))
+    loops = matroid.n - union.bit_count()
+    return nbasis_product(element, QSymElement.single("N", (loops,))) if loops else element
 
 
 def qsym_of_matroid(matroid):
-    """The invariant of a matroid in the N basis, interleaved on the smaller
-    side of duality.
+    """The invariant of a matroid in the N basis: the product over its
+    connected components, each interleaved on its smaller side of duality.
 
-    Loops and coloops are stripped in one minor and multiplied back in as
-    N[(l + c,)]: a loop or a coloop is a direct summand with invariant
-    N[(1,)], and F is multiplicative over direct sums.  For the remaining
-    loopless, coloop-free matroid, F of the dual is F with every N
-    composition reversed (Billera, Jia and Reiner, "A quasisymmetric
-    function for matroids", 2009; the nbasis_holds of duality_check).  The
+    F is multiplicative over direct sums (Billera, Jia and Reiner, "A
+    quasisymmetric function for matroids", 2009).  Loops and coloops are
+    the singleton components, each with invariant N[(1,)], and N[(1,)]^k
+    is N[(k,)], so they are multiplied in once.  A larger component C has
+    the traces on C of the bases as its bases, interleaved in place on C.
+    It has no loop or coloop, so the F of its dual is its F with every N
+    composition reversed (the nbasis_holds of duality_check).  The
     interleaving costs about 3^r in the rank r (see _basis_type_counts), so
-    when 2r > n the complements of the bases are interleaved and every
-    composition is reversed.
+    when 2r exceeds |C| the complements in C of its bases are interleaved
+    and every composition is reversed.
     """
-    full = (1 << matroid.n) - 1
-    union, inter = 0, full
-    for m in matroid._masks:
-        union |= m
-        inter &= m
-    stripped = (full & ~union) | inter
-    core = matroid._minor(inter, full & ~stripped) if stripped else matroid
-    n, masks = core.n, core._masks
-    if 2 * masks[0].bit_count() > n:
-        dual = _interleave(n, [((1 << n) - 1) ^ m for m in masks])
-        acc = {reversal(c): count for c, count in dual.items()}
-    else:
-        acc = _interleave(n, masks)
-    return _times_loops(acc, stripped.bit_count())
+    factors, singletons = [], 0
+    for pmask in matroid._component_masks():
+        size = pmask.bit_count()
+        if size == 1:
+            singletons += 1
+            continue
+        masks = {b & pmask for b in matroid._masks}
+        if 2 * (matroid._masks[0] & pmask).bit_count() > size:
+            dual = _interleave(pmask, [pmask ^ m for m in masks])
+            acc = {reversal(c): count for c, count in dual.items()}
+        else:
+            acc = _interleave(pmask, masks)
+        factors.append(QSymElement._trusted("N", acc))
+    if singletons:
+        factors.append(QSymElement._trusted("N", {(singletons,): 1}))
+    return reduce(nbasis_product, factors) if factors else QSymElement.one("N")
 
 
 def loops_coloops_from_qsym(element):

@@ -414,7 +414,7 @@ def check_invariance_duality_coproduct(num_matroids=100, seed=0, max_n=7):
         base = sample_loopless_matroid(rng, n)
         with_loop = base.direct_sum(uniform(0, 1))
         with_coloop = base.direct_sum(uniform(1, 1))
-        # qsym_of_matroid strips the coloop like the loop, so the coloop
+        # qsym_of_matroid multiplies in singleton components, so the coloop
         # side is interleaved with the coloop in place
         f_loop = qsym_of_matroid(with_loop)
         if f_loop != mat._qsym_by_interleaving(with_coloop):

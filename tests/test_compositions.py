@@ -293,6 +293,26 @@ def test_python_constructors_reject_non_int_entries(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: comp.as_composition(5), "composition must be a collection, got 5"),
+        (lambda: QSymElement("N", {5: 1}), "composition must be a collection, got 5"),
+        (lambda: QSymElement.single("N", 5), "composition must be a collection, got 5"),
+        (lambda: QSymElement("N", [5]), "a term must be a (key, coefficient) pair, got 5"),
+        (
+            lambda: QSymElement("N", [((1,),)]),
+            "a term must be a (key, coefficient) pair, got ((1,),)",
+        ),
+    ],
+    ids=["as_composition", "element-key", "single", "term-not-a-pair", "term-of-one"],
+)
+def test_malformed_compositions_and_terms_are_named(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_drop_zero_parts_drops_zeros_and_rejects_negatives():
     assert comp.drop_zero_parts((2, 0)) == (2,)
     assert comp.drop_zero_parts((0, 1, 0, 3)) == (1, 3)

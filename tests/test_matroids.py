@@ -638,8 +638,8 @@ def _merge_test_families():
 def test_merged_interleave_matches_exact_shape_grouping():
     merged = 0
     for n, masks in _merge_test_families():
-        assert mat._interleave(n, masks) == interleave_by_exact_shapes(n, masks), (n, masks)
         full = (1 << n) - 1
+        assert mat._interleave(full, masks) == interleave_by_exact_shapes(n, masks), (n, masks)
         exact = {
             tuple(sorted(mat._partner_masks(b, full & ~b, frozenset(masks)))) for b in masks
         }
@@ -663,7 +663,7 @@ def test_a_relabelling_that_is_no_bijection_is_caught(monkeypatch):
 
     monkeypatch.setattr(mat, "_relabelled", collapsed)
     assert any(
-        mat._interleave(n, masks) != interleave_by_exact_shapes(n, masks)
+        mat._interleave((1 << n) - 1, masks) != interleave_by_exact_shapes(n, masks)
         for n, masks in _merge_test_families()
     )
 
@@ -693,6 +693,41 @@ def test_invariant_multiplicative_over_direct_sum():
         assert mat.qsym_of_matroid(a.direct_sum(b)) == qsym.nbasis_product(
             mat.qsym_of_matroid(a), mat.qsym_of_matroid(b)
         )
+
+
+def test_direct_sum_of_four_components_matches_whole_interleaving():
+    # U(2,4)^4 (n = 16, rank 8): F multiplies four components, while the
+    # no-switch route interleaves all 1296 bases at once
+    u = uniform(2, 4)
+    m = u.direct_sum(u).direct_sum(u).direct_sum(u)
+    f = mat.qsym_of_matroid(m)
+    assert f == mat._qsym_by_interleaving(m)
+    assert f.coefficient((8, 8)) == 1296
+
+
+def test_invariant_is_valuative_on_every_matroidal_hyperplane_split():
+    # the hyperplane x(A) = k cuts the base polytope into the bases with
+    # |B & A| <= k and those with |B & A| >= k, meeting in the facet
+    # |B & A| = k; when all three are matroids, F(M) + F(facet) is
+    # F(low) + F(high) (Ardila, Fink and Rincon, "Valuations for matroid
+    # polytope subdivisions", 2010)
+    splits = matroidal = 0
+    for m in _labelled_matroids(5):
+        for a in range(1 << m.n):
+            meets = [(b & a).bit_count() for b in m._masks]
+            for k in range(min(meets) + 1, max(meets)):
+                splits += 1
+                sides = [
+                    [b for b, c in zip(m._masks, meets) if keep(c)]
+                    for keep in (k.__ge__, k.__le__, k.__eq__)
+                ]
+                if all(mat.exchange_valid(side) for side in sides):
+                    matroidal += 1
+                    low, high, facet = (
+                        mat.qsym_of_matroid(Matroid.from_masks(m.n, side)) for side in sides
+                    )
+                    assert mat.qsym_of_matroid(m) + facet == low + high, (m, a, k)
+    assert (splits, matroidal) == (2242, 286)
 
 
 def test_loop_coloop_equivalence():

@@ -123,17 +123,25 @@ def test_basis_type_counts_match_subset_enumeration(shape):
     st.integers(1, 6),
     st.integers(0, 2),
     st.integers(0, 1),
+    st.integers(0, 4),
     st.booleans(),
     st.booleans(),
 )
-def test_invariant_matches_flag_and_extension_definitions(seed, n, loops, coloops, dual, relabel):
+def test_invariant_matches_flag_and_extension_definitions(
+    seed, n, loops, coloops, summand, dual, relabel
+):
     # the sampler draws r from 1..n-1 and the dual turns r into n - r, so
-    # about half the cases interleave the dual of the stripped matroid; the
-    # no-switch route and both definitions never do
+    # about half the components are interleaved on their dual side; a second
+    # sampled summand, kept to a total n <= 8 for the flag oracle, makes a
+    # product of two components; the no-switch route and both definitions
+    # never switch or multiply components
     rng = random.Random(seed)
     m = matroids.sample_loopless_matroid(rng, n)
     if dual:
         m = m.dual()
+    summand = min(summand, 8 - n - loops - coloops)
+    if summand > 0:
+        m = m.direct_sum(matroids.sample_loopless_matroid(rng, summand))
     for _ in range(loops):
         m = m.direct_sum(matroids.uniform(0, 1))
     for _ in range(coloops):
