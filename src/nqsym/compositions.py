@@ -135,15 +135,20 @@ def binary_word(comp):
 def term_order_key(comp):
     """Canonical global sort key: by weight, then binary word order.
 
-    At equal weight the binary words compare as the parts with the
-    even-indexed ones negated, (-c0, c1, -c2, ...): a longer run of zeros
-    makes the word smaller and a longer run of ones makes it larger, so no
-    word is built.  Keys never change, so they are memoised; comp must be
-    a tuple.
+    The key is one int: 0 for (), else 2^(n-1) plus the binary word of
+    weight n read as a number, its first letter most significant.  That
+    first letter is always a zero, so a word of weight n gives a key in
+    [2^(n-1), 2^n), and keys of equal weight compare as their words.  Keys
+    never change, so they are memoised; comp must be a tuple.
     """
-    key = [-p for p in comp]
-    key[1::2] = comp[1::2]
-    return (sum(comp), tuple(key))
+    if not comp:
+        return 0
+    word = 0
+    for i, p in enumerate(comp):
+        word <<= p
+        if i % 2:
+            word |= (1 << p) - 1
+    return word | 1 << sum(comp) - 1
 
 
 def triangular_order_key(comp):

@@ -57,7 +57,10 @@ def _normalized_terms(basis, terms, key):
 
 
 def _tensor_key(pair):
-    left, right = pair
+    try:
+        left, right = pair
+    except (TypeError, ValueError):
+        raise ValidationError(f"a tensor key must be a pair of compositions, got {pair!r}") from None
     return as_composition(left), as_composition(right)
 
 

@@ -10,7 +10,7 @@ bitmasks, bit i-1 for element i.
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, lcm
 
 from .compositions import (
@@ -491,32 +491,110 @@ def _relabelled(rank, partners):
     return tuple(out)
 
 
-def _interleave(ground, masks):
-    """The N-basis coefficients of F for a loopless family of bases on the
-    elements of the mask ground, kept in place, interleaved on the side
-    given, with no switch to the dual.
+def _clone_classes(ground, family):
+    """The clone classes of a family of bases on the elements of the mask
+    ground, as masks, in order of least element.
 
-    A basis's type counts depend only on its rank and on the multiset of its
-    cobase elements' partner masks over the base positions 0..r-1 (its
-    exchange graph, from _partner_masks, which base_poset and
-    Matroid.components read too), and only up to a renaming of those
-    positions, since a base block may be any submask.  So the bases are
-    grouped by their partner masks in ground order, the groups are merged
-    again under the renaming of _relabelled, and each merged shape is
-    interleaved once and weighted by the number of its bases.  Within a
-    shape only the base blocks are listed: a cobase element is blocked
-    while one of its partners is unplaced and released after, and released
-    elements are interchangeable, so each cobase block is counted by its
-    size with a binomial weight (see _basis_type_counts).
+    Elements e and f are clones when swapping them maps the family onto
+    itself (Geelen, Oxley, Vertigan and Whittle, "Totally free expansions
+    of matroids", 2002): parallel elements, the elements of one rank-two
+    block and any two elements of U(r, n) are.  The swap fixes every basis
+    holding both or neither, so it is an automorphism iff every basis
+    holding exactly one of them goes to a basis.  When e and f lie in
+    equally many bases it suffices that every basis holding e and not f
+    does: that maps the bases holding e alone one-to-one into the equally
+    many holding f alone.  Clones form an equivalence relation, since the
+    swap of e and g is (e f)(f g)(e f), so each element, in ground order,
+    is tested against the least member of each class found so far that
+    lies in as many bases.  The counts are read off one integer that packs
+    every basis into a slot of whole bytes: an element's count is the
+    number of slots holding its bit.
+    """
+    width = ground.bit_length() // 8 + 1
+    packed = int.from_bytes(
+        b"".join(map(int.to_bytes, family, repeat(width), repeat("little"))), "little"
+    )
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(family), "little")
+    classes, counts = [], []
+    rest = ground
+    while rest:
+        e = rest & -rest
+        rest ^= e
+        count = (packed >> e.bit_length() - 1 & ones).bit_count()
+        for i, c in enumerate(classes):
+            if counts[i] != count:
+                continue
+            least = c & -c
+            pair = least | e
+            if all(b ^ pair in family for b in family if b & pair == least):
+                classes[i] |= e
+                break
+        else:
+            classes.append(e)
+            counts.append(count)
+    return classes
+
+
+def _clone_orbits(ground, family):
+    """The orbits of a family of bases on the elements of the mask ground
+    under the swaps of clones (see _clone_classes), as a dict from each
+    orbit's representative to the number of bases in it.
+
+    Those swaps generate the product of the symmetric groups of the clone
+    classes, so two bases share an orbit iff they meet every class in
+    equally many elements.  The representative takes the least ones of
+    each class, and as every swap maps the family onto itself it is a
+    basis.  A family with no clones has every basis as its own orbit.
+    """
+    classes = [c for c in _clone_classes(ground, family) if c & (c - 1)]
+    if not classes:
+        return dict.fromkeys(family, 1)
+    fixed, prefixes = ground, []
+    for c in classes:
+        fixed ^= c
+        prefix, rest = [0], c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            prefix.append(prefix[-1] | low)
+        prefixes.append((c, prefix))
+    orbits = {}
+    for b in family:
+        rep = b & fixed
+        for c, prefix in prefixes:
+            rep |= prefix[(b & c).bit_count()]
+        orbits[rep] = orbits.get(rep, 0) + 1
+    return orbits
+
+
+def _interleave(ground, family, orbits):
+    """The N-basis coefficients of F for a loopless family of bases (a set
+    of masks) on the elements of the mask ground, kept in place,
+    interleaved on the side given, with no switch to the dual.
+
+    orbits maps bases to multiplicities: one representative per orbit of
+    _clone_orbits, weighted by the orbit's size, or every basis weighted 1
+    (the all-bases route of _qsym_by_interleaving).  An automorphism of the
+    family maps a basis's exchange graph onto an isomorphic one, so every
+    basis of an orbit has its representative's type counts.  Those depend only on its rank and on the multiset of its cobase elements'
+    partner masks over the base positions 0..r-1 (its exchange graph, from
+    _partner_masks, which base_poset and Matroid.components read too), and
+    only up to a renaming of those positions, since a base block may be any
+    submask.  So the bases are grouped by their partner masks in ground
+    order, the groups are merged again under the renaming of _relabelled,
+    and each merged shape is interleaved once and weighted by the number of
+    its bases.  Within a shape only the base blocks are listed: a cobase
+    element is blocked while one of its partners is unplaced and released
+    after, and released elements are interchangeable, so each cobase block
+    is counted by its size with a binomial weight (see _basis_type_counts).
     """
     if not ground:
         return {(): 1}
-    mask_set = frozenset(masks)
     shapes = {}
-    for bmask in masks:
-        partners = _partner_masks(bmask, ground & ~bmask, mask_set)
+    for bmask, multiplicity in orbits.items():
+        partners = _partner_masks(bmask, ground & ~bmask, family)
         key = (bmask.bit_count(), tuple(sorted(partners)))
-        shapes[key] = shapes.get(key, 0) + 1
+        shapes[key] = shapes.get(key, 0) + multiplicity
     classes = {}
     for (rank, partners), multiplicity in shapes.items():
         key = (rank, _relabelled(rank, partners))
@@ -530,31 +608,36 @@ def _interleave(ground, masks):
 
 def _qsym_by_interleaving(matroid):
     """The invariant with the loops stripped and multiplied back in, and the
-    rest interleaved on the side given (see _interleave): the route that
-    duality_check reads on a matroid and on its dual, so that the two are
-    computed independently."""
+    rest interleaved on the side given with every basis weighted 1 (see
+    _interleave): the route that duality_check reads on a matroid and on
+    its dual, so that the two are computed independently, and the oracle
+    of the clone orbits of qsym_of_matroid."""
     union = 0
     for m in matroid._masks:
         union |= m
-    element = QSymElement._trusted("N", _interleave(union, matroid._masks))
+    acc = _interleave(union, matroid._mask_set, dict.fromkeys(matroid._masks, 1))
+    element = QSymElement._trusted("N", acc)
     loops = matroid.n - union.bit_count()
     return nbasis_product(element, QSymElement.single("N", (loops,))) if loops else element
 
 
 def qsym_of_matroid(matroid):
     """The invariant of a matroid in the N basis: the product over its
-    connected components, each interleaved on its smaller side of duality.
+    connected components, each interleaved on its smaller side of duality
+    over the orbits of its clones.
 
     F is multiplicative over direct sums (Billera, Jia and Reiner, "A
     quasisymmetric function for matroids", 2009).  Loops and coloops are
     the singleton components, each with invariant N[(1,)], and N[(1,)]^k
     is N[(k,)], so they are multiplied in once.  A larger component C has
-    the traces on C of the bases as its bases, interleaved in place on C.
-    It has no loop or coloop, so the F of its dual is its F with every N
-    composition reversed (the nbasis_holds of duality_check).  The
-    interleaving costs about 3^r in the rank r (see _basis_type_counts), so
-    when 2r exceeds |C| the complements in C of its bases are interleaved
-    and every composition is reversed.
+    the traces on C of the bases as its bases, interleaved in place on C,
+    and a connected matroid keeps its own.  It has no loop or coloop, so
+    the F of its dual is its F with every N composition reversed (the
+    nbasis_holds of duality_check).  The interleaving costs about 3^r in
+    the rank r (see _basis_type_counts), so when 2r exceeds |C| the
+    complements in C of its bases are interleaved and every composition is
+    reversed.  Either way one basis per orbit of _clone_orbits is
+    interleaved, weighted by the size of its orbit.
     """
     factors, singletons = [], 0
     for pmask in matroid._component_masks():
@@ -562,12 +645,16 @@ def qsym_of_matroid(matroid):
         if size == 1:
             singletons += 1
             continue
-        masks = {b & pmask for b in matroid._masks}
-        if 2 * (matroid._masks[0] & pmask).bit_count() > size:
-            dual = _interleave(pmask, [pmask ^ m for m in masks])
-            acc = {reversal(c): count for c, count in dual.items()}
+        if size == matroid.n:
+            family = matroid._mask_set
         else:
-            acc = _interleave(pmask, masks)
+            family = frozenset(map(pmask.__and__, matroid._masks))
+        switch = 2 * (matroid._masks[0] & pmask).bit_count() > size
+        if switch:
+            family = frozenset(map(pmask.__xor__, family))
+        acc = _interleave(pmask, family, _clone_orbits(pmask, family))
+        if switch:
+            acc = {reversal(c): count for c, count in acc.items()}
         factors.append(QSymElement._trusted("N", acc))
     if singletons:
         factors.append(QSymElement._trusted("N", {(singletons,): 1}))

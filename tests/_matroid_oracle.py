@@ -17,10 +17,14 @@ positions.
 The exchange graph of a basis, which the package reads for F, the base
 posets and the components, has references here as well: the base poset
 built label by label, and the components as the classes of "both lie in a
-common circuit", with the circuits found among all 2^n subsets.
+common circuit", with the circuits found among all 2^n subsets.  So do
+the clone classes and the orbits of the bases under their swaps, which F
+interleaves one basis each: every transposition is tried on the whole
+family, and every orbit is closed under the transpositions one by one.
 """
 
 from collections import Counter
+from itertools import combinations
 
 from nqsym.elements import QSymElement
 from nqsym.matroids import _basis_type_counts, _partner_masks, base_poset
@@ -205,3 +209,51 @@ def interleave_by_exact_shapes(n, masks):
         for typ, count in _basis_type_counts(rank, partners).items():
             acc[typ] += count * multiplicity
     return dict(acc)
+
+
+def _transposed(bmask, pair):
+    """bmask with the two elements of the mask pair swapped."""
+    return bmask ^ pair if bmask & pair not in (0, pair) else bmask
+
+
+def clone_classes_by_transpositions(ground, family):
+    """The clone classes of a family of base masks on the elements of the
+    mask ground, as masks sorted by least element: each element with every
+    element whose transposition with it, applied to every basis, gives
+    back the whole family."""
+    family = frozenset(family)
+    elements = [1 << i for i in range(ground.bit_length()) if ground >> i & 1]
+    classes = set()
+    for e in elements:
+        mine = e
+        for f in elements:
+            if f != e and frozenset(_transposed(b, e | f) for b in family) == family:
+                mine |= f
+        classes.add(mine)
+    return sorted(classes, key=lambda c: c & -c)
+
+
+def orbits_by_closure(family, classes):
+    """The orbits of a family of base masks under the transpositions of two
+    elements of one class, as frozensets of masks, each grown from one
+    basis until no transposition adds a new set."""
+    pairs = [
+        a | b
+        for c in classes
+        for a, b in combinations([1 << i for i in range(c.bit_length()) if c >> i & 1], 2)
+    ]
+    seen, orbits = set(), []
+    for start in family:
+        if start in seen:
+            continue
+        orbit, stack = {start}, [start]
+        while stack:
+            b = stack.pop()
+            for pair in pairs:
+                image = _transposed(b, pair)
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return orbits

@@ -6,7 +6,7 @@ import pytest
 from _poset_oracle import binary_word_cmp, induced_partition_by_type
 from nqsym import compositions as comp
 from nqsym import qsym
-from nqsym.elements import QSymElement
+from nqsym.elements import QSymElement, TensorElement
 from nqsym.errors import ValidationError
 
 
@@ -127,6 +127,19 @@ def test_term_order_key_is_weight_then_binary_word():
     assert len(keys) == len(pooled) == 2 ** 11
     expected = sorted(pooled, key=lambda c: (comp.weight(c), comp.binary_word(c)))
     assert sorted(pooled, key=comp.term_order_key) == expected
+
+
+def test_term_order_key_is_one_int_marked_by_weight():
+    # 2^(n-1) plus the binary word as a number, its leading zero most
+    # significant, so weight n fills [2^(n-1), 2^n)
+    assert comp.term_order_key(()) == 0
+    assert comp.term_order_key((1,)) == 0b1
+    assert comp.term_order_key((3,)) == 0b100
+    assert comp.term_order_key((2, 1)) == 0b101
+    assert comp.term_order_key((1, 2, 1)) == 0b1110
+    for n in range(1, 10):
+        keys = sorted(comp.term_order_key(c) for c in comp.compositions(n))
+        assert keys == list(range(2 ** (n - 1), 2 ** n))
 
 
 def test_triangular_order_extends_refinement_but_binary_word_does_not():
@@ -304,8 +317,24 @@ def test_python_constructors_reject_non_int_entries(build):
             lambda: QSymElement("N", [((1,),)]),
             "a term must be a (key, coefficient) pair, got ((1,),)",
         ),
+        (
+            lambda: TensorElement("M", {5: 1}),
+            "a tensor key must be a pair of compositions, got 5",
+        ),
+        (
+            lambda: TensorElement("M", {((1,),): 1}),
+            "a tensor key must be a pair of compositions, got ((1,),)",
+        ),
     ],
-    ids=["as_composition", "element-key", "single", "term-not-a-pair", "term-of-one"],
+    ids=[
+        "as_composition",
+        "element-key",
+        "single",
+        "term-not-a-pair",
+        "term-of-one",
+        "tensor-key-not-a-pair",
+        "tensor-key-of-one",
+    ],
 )
 def test_malformed_compositions_and_terms_are_named(build, message):
     with pytest.raises(ValidationError) as info:

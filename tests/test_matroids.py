@@ -10,8 +10,10 @@ from _matroid_oracle import (
     base_poset_by_definition,
     basis_type_counts_by_subsets,
     circuits,
+    clone_classes_by_transpositions,
     components_by_circuits,
     interleave_by_exact_shapes,
+    orbits_by_closure,
     qsym_of_matroid_by_extensions,
     qsym_of_matroid_by_flags,
 )
@@ -639,7 +641,8 @@ def test_merged_interleave_matches_exact_shape_grouping():
     merged = 0
     for n, masks in _merge_test_families():
         full = (1 << n) - 1
-        assert mat._interleave(full, masks) == interleave_by_exact_shapes(n, masks), (n, masks)
+        family, every = frozenset(masks), dict.fromkeys(masks, 1)
+        assert mat._interleave(full, family, every) == interleave_by_exact_shapes(n, masks), (n, masks)
         exact = {
             tuple(sorted(mat._partner_masks(b, full & ~b, frozenset(masks)))) for b in masks
         }
@@ -663,9 +666,84 @@ def test_a_relabelling_that_is_no_bijection_is_caught(monkeypatch):
 
     monkeypatch.setattr(mat, "_relabelled", collapsed)
     assert any(
-        mat._interleave((1 << n) - 1, masks) != interleave_by_exact_shapes(n, masks)
+        mat._interleave((1 << n) - 1, frozenset(masks), dict.fromkeys(masks, 1))
+        != interleave_by_exact_shapes(n, masks)
         for n, masks in _merge_test_families()
     )
+
+
+def test_clone_classes_and_orbits_match_transposition_oracle():
+    # every labelled matroid on [n], n <= 5, and the sampled matroids, each
+    # with its dual: the classes are those found by trying every
+    # transposition, and each orbit found by closing one basis under them
+    # has exactly one representative, weighted by the orbit's size
+    matroids = list(_labelled_matroids(5)) + list(_sampled_matroids())
+    merged = 0
+    for m in matroids + [m.dual() for m in matroids]:
+        ground, family = (1 << m.n) - 1, m._mask_set
+        classes = clone_classes_by_transpositions(ground, family)
+        assert mat._clone_classes(ground, family) == classes, m
+        orbits = mat._clone_orbits(ground, family)
+        assert sum(orbits.values()) == m.num_bases, m
+        assert all(rep in family for rep in orbits), m
+        expected = orbits_by_closure(family, classes)
+        assert len(orbits) == len(expected), m
+        for orbit in expected:
+            (rep,) = [rep for rep in orbits if rep in orbit]
+            assert orbits[rep] == len(orbit), m
+        merged += m.num_bases - len(orbits)
+    assert merged >= 4500, merged
+
+
+def test_clone_classes_of_uniform_rank_two_and_k4():
+    # any two elements of U(r, n) are clones, so one basis stands for all
+    for n in range(1, 9):
+        ground = (1 << n) - 1
+        for r in range(n + 1):
+            family = uniform(r, n)._mask_set
+            assert mat._clone_classes(ground, family) == [ground], (r, n)
+            assert mat._clone_orbits(ground, family) == {(1 << r) - 1: comb(n, r)}, (r, n)
+    # a rank-two class: each block of two or more elements is a class, and
+    # the one-element blocks form one class together
+    for n in range(2, 9):
+        for lam in comp.partitions(n, min_parts=2):
+            m = mat.rank2_from_partition(lam)
+            ground, family = (1 << n) - 1, m._mask_set
+            blocks = [mat._mask_of(b) for b in mat._interval_blocks(lam)]
+            singles = sum(b for b in blocks if b & (b - 1) == 0)
+            expected = [b for b in blocks if b & (b - 1)] + ([singles] if singles else [])
+            assert mat._clone_classes(ground, family) == expected, lam
+            assert clone_classes_by_transpositions(ground, family) == expected, lam
+    m = mat.rank2_from_partition((3, 1, 1))
+    assert m.num_bases == 7
+    assert mat._clone_classes(0b11111, m._mask_set) == [0b111, 0b11000]
+    assert mat._clone_orbits(0b11111, m._mask_set) == {mat._mask_of({1, 4}): 6, mat._mask_of({4, 5}): 1}
+    # the graphic matroid of K4 (edges 1-6, four triangles) has no clones,
+    # though every edge lies in as many spanning trees
+    triangles = ({1, 2, 4}, {1, 3, 5}, {2, 3, 6}, {4, 5, 6})
+    k4 = Matroid(6, [b for b in itertools.combinations(range(1, 7), 3) if set(b) not in triangles])
+    assert k4.num_bases == 16
+    assert mat._clone_classes(0b111111, k4._mask_set) == [1 << i for i in range(6)]
+    assert mat._clone_orbits(0b111111, k4._mask_set) == dict.fromkeys(k4._masks, 1)
+
+
+def test_clone_orbit_route_matches_all_bases_route():
+    # qsym_of_matroid interleaves one basis per clone orbit of each
+    # component, _qsym_by_interleaving every basis of the whole matroid;
+    # test_smaller_side_matches_no_switch_route_and_flags compares the two
+    # on every labelled matroid with n <= 5
+    cases = list(_sampled_matroids())
+    cases += [uniform(r, n) for n in range(1, 11) for r in range(n + 1)]
+    cases += [uniform(6, 12), uniform(8, 16)]
+    for n in range(3, 9):
+        for lam in comp.partitions(n, min_parts=2):
+            for loops in range(3):
+                for coloops in range(2):
+                    cases.append(
+                        _with_loops_and_coloops(mat.rank2_from_partition(lam), loops, coloops)
+                    )
+    for m in cases:
+        assert mat.qsym_of_matroid(m) == mat._qsym_by_interleaving(m), m
 
 
 def test_fast_path_matches_extensions_on_uniform_and_rank_two_families():
