@@ -170,7 +170,7 @@ def triangular_order_key(comp):
 def as_permutation(entries):
     """Validate a permutation as a tuple of distinct positive ints; a bool,
     float or string entry is rejected, never converted."""
-    perm = tuple(json_int(x, "permutation entries") for x in entries)
+    perm = tuple(json_int(x, "permutation entries") for x in json_iter(entries, "permutation"))
     if any(x < 1 for x in perm):
         raise ValidationError("permutation entries must be positive")
     if len(set(perm)) != len(perm):
@@ -238,18 +238,20 @@ def rho_to_runs(comp):
 
 
 def as_ordered_partition(blocks):
-    parts = tuple(frozenset(json_int(x, "block elements") for x in block) for block in blocks)
-    _check_blocks(parts)
-    return parts
+    return tuple(_checked_blocks(blocks, "ordered partition"))
 
 
 def as_set_partition(blocks):
-    parts = [frozenset(json_int(x, "block elements") for x in block) for block in blocks]
-    _check_blocks(parts)
-    return frozenset(parts)
+    return frozenset(_checked_blocks(blocks, "set partition"))
 
 
-def _check_blocks(parts):
+def _checked_blocks(blocks, what):
+    """The blocks as nonempty, pairwise disjoint frozensets of positive ints;
+    a partition or block that is no collection is rejected under its name."""
+    parts = [
+        frozenset(json_int(x, "block elements") for x in json_iter(block, "a block"))
+        for block in json_iter(blocks, what)
+    ]
     seen = set()
     for block in parts:
         if not block:
@@ -259,6 +261,7 @@ def _check_blocks(parts):
         if block & seen:
             raise ValidationError("blocks must be pairwise disjoint")
         seen |= block
+    return parts
 
 
 def partition_type(ordered_partition):
@@ -305,16 +308,13 @@ def induced_partition_by_set_partition(perm, set_partition):
     support = set(perm)
     if set(block_of) != support:
         raise ValidationError("set partition must partition the permutation support")
-    out = []
-    current = [perm[0]]
-    for x in perm[1:]:
-        if block_of[x] == block_of[current[-1]]:
-            current.append(x)
+    segments = []
+    for x in perm:
+        if segments and block_of[x] == block_of[segments[-1][-1]]:
+            segments[-1].append(x)
         else:
-            out.append(frozenset(current))
-            current = [x]
-    out.append(frozenset(current))
-    return tuple(out)
+            segments.append([x])
+    return tuple(frozenset(seg) for seg in segments)
 
 
 def is_alternating(ordered_partition):

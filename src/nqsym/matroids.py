@@ -1016,8 +1016,6 @@ def recover_rank2_modm2(coords, n):
             raise ValidationError(f"a coordinate must be an int or a Fraction, got {value!r}")
         seen[json_int(k, "coordinate index")] = value
     for k in range(1, (n + 1) // 2):
-        if 2 * k == n:
-            continue
         value = Fraction(seen.pop(k, 0))
         if value.denominator != 1:
             raise ValidationError("inconsistent coordinates: non-integer entry")

@@ -8,8 +8,10 @@ fundamental basis element of the run composition of every linear extension.
 from .compositions import (
     as_composition,
     as_ordered_partition,
+    as_set_partition,
     induced_partition_by_set_partition,
     json_int,
+    json_iter,
     runs,
 )
 from .elements import QSymElement
@@ -21,49 +23,36 @@ DEFAULT_ENUMERATION_LIMIT = 12
 class LabeledPoset:
     """Immutable strict partial order on positive integer labels.
 
-    Stores the cover relations plus, per element, the full set of strictly
-    smaller elements, so order queries during enumeration are O(1).
-    below_masks[i] is that set for labels[i] as a bitmask over label
-    positions (bit j for labels[j]).
+    The order is stored once: labels ascending, and below_masks[i] the set
+    of labels strictly below labels[i] as a bitmask over label positions
+    (bit j for labels[j]).  Covers and order queries are read off the masks.
     """
 
-    __slots__ = ("labels", "covers", "below", "below_masks")
+    __slots__ = ("labels", "below_masks")
 
     def __init__(self, labels, relations=()):
-        labels = tuple(sorted({json_int(x, "poset labels") for x in labels}))
+        labels = sorted({json_int(x, "poset labels") for x in json_iter(labels, "poset labels")})
         if any(x < 1 for x in labels):
             raise ValidationError("labels must be positive integers")
-        below = {x: set() for x in labels}
-        for lo, hi in relations:
-            lo, hi = json_int(lo, "relation endpoints"), json_int(hi, "relation endpoints")
-            if lo not in below or hi not in below:
-                raise ValidationError(f"relation ({lo},{hi}) uses unknown labels")
-            below[hi].add(lo)
-        # transitive closure by repeated sweeps (small posets only)
-        changed = True
-        while changed:
-            changed = False
-            for hi in labels:
-                extra = set()
-                for mid in below[hi]:
-                    extra |= below[mid] - below[hi]
-                if extra:
-                    below[hi] |= extra
-                    changed = True
-        for x in labels:
-            if x in below[x]:
-                raise ValidationError("order relation contains a cycle")
-        covers = set()
-        for hi in labels:
-            for lo in below[hi]:
-                if not any(lo in below[mid] for mid in below[hi]):
-                    covers.add((lo, hi))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "below", {x: frozenset(below[x]) for x in labels})
-        object.__setattr__(self, "covers", frozenset(covers))
         index = {x: i for i, x in enumerate(labels)}
-        below_masks = tuple(sum(1 << index[lo] for lo in below[x]) for x in labels)
-        object.__setattr__(self, "below_masks", below_masks)
+        masks = [0] * len(labels)
+        for pair in json_iter(relations, "poset relations"):
+            try:
+                lo, hi = pair
+            except (TypeError, ValueError):
+                raise ValidationError(f"a relation must be a pair of labels, got {pair!r}") from None
+            lo, hi = json_int(lo, "relation endpoints"), json_int(hi, "relation endpoints")
+            if lo not in index or hi not in index:
+                raise ValidationError(f"relation ({lo},{hi}) uses unknown labels")
+            masks[index[hi]] |= 1 << index[lo]
+        # transitive closure (Warshall): after round k, a label with
+        # labels[k] below it also has everything below labels[k]
+        for k in range(len(masks)):
+            masks = [m | masks[k] if m >> k & 1 else m for m in masks]
+        if any(m >> i & 1 for i, m in enumerate(masks)):
+            raise ValidationError("order relation contains a cycle")
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "below_masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledPoset is immutable")
@@ -72,27 +61,31 @@ class LabeledPoset:
     def n(self):
         return len(self.labels)
 
+    @property
+    def covers(self):
+        """The pairs (lo, hi) with lo below hi but below nothing below hi."""
+        labels, masks = self.labels, self.below_masks
+        covers = set()
+        for hi, below in zip(labels, masks):
+            deeper = 0
+            for j, below_j in enumerate(masks):
+                deeper |= below_j if below >> j & 1 else 0
+            covers.update((lo, hi) for j, lo in enumerate(labels) if (below & ~deeper) >> j & 1)
+        return frozenset(covers)
+
     def less(self, x, y):
-        return x in self.below.get(y, frozenset())
-
-    def relations(self):
-        for hi, lows in self.below.items():
-            for lo in lows:
-                yield (lo, hi)
-
-    def is_antichain(self, subset):
-        subset = frozenset(subset)
-        return all(not (self.below[y] & subset) for y in subset)
+        index = {label: i for i, label in enumerate(self.labels)}
+        return x in index and y in index and bool(self.below_masks[index[y]] >> index[x] & 1)
 
     def __eq__(self, other):
         return (
             isinstance(other, LabeledPoset)
             and self.labels == other.labels
-            and self.below == other.below
+            and self.below_masks == other.below_masks
         )
 
     def __hash__(self):
-        return hash((self.labels, frozenset(self.covers)))
+        return hash((self.labels, self.below_masks))
 
     def __repr__(self):
         return f"LabeledPoset(labels={self.labels}, covers={sorted(self.covers)})"
@@ -251,42 +244,42 @@ def build_P_K(ordered_partition):
 # decompositions induced by a set partition
 
 
+def _partition_of_labels(poset, set_partition):
+    """The set partition as a frozenset of blocks that partition the poset labels."""
+    blocks = as_set_partition(set_partition)
+    if sorted(x for b in blocks for x in b) != list(poset.labels):
+        raise ValidationError("set partition must partition the poset labels")
+    return blocks
+
+
 def decompose_by(poset, set_partition):
     """The set of ordered partitions induced on the linear extensions,
     enumerated under linear_extensions' default size cap."""
-    blocks = frozenset(frozenset(b) for b in set_partition)
-    if sorted(x for b in blocks for x in b) != list(poset.labels):
-        raise ValidationError("set partition must partition the poset labels")
-    return {
-        induced_partition_by_set_partition(ext, blocks)
-        for ext in linear_extensions(poset)
-    }
+    blocks = _partition_of_labels(poset, set_partition)
+    return {induced_partition_by_set_partition(ext, blocks) for ext in linear_extensions(poset)}
 
 
 def is_antichain_inducing(poset, set_partition):
-    """True iff every block of every induced ordered partition is an antichain."""
-    return all(
-        poset.is_antichain(block)
-        for induced in decompose_by(poset, set_partition)
-        for block in induced
-    )
+    """True iff every block of every induced ordered partition is an antichain.
+
+    That holds iff no cover relation has both ends in one block, so no
+    linear extension is listed and there is no size cap.
+    - Suppose y covers x in one block.  The labels w < y with not x <= w
+      form a down-set; an extension that lists them first, then x, then y,
+      puts x and y side by side, so in one segment.
+    - Conversely, suppose comparable a < b lie in one segment.  Every
+      element of a maximal chain from a to b lies between them in the word,
+      so in that segment and block, and so does the chain's first cover.
+    """
+    block_of = {x: block for block in _partition_of_labels(poset, set_partition) for x in block}
+    return all(block_of[lo] != block_of[hi] for lo, hi in poset.covers)
 
 
 def labeling_kind(poset):
     """Classify as 'strict', 'natural', 'both' (antichain) or 'neither'."""
-    has_relation = False
-    strict = True
-    natural = True
-    for lo, hi in poset.covers:
-        has_relation = True
-        if lo < hi:
-            strict = False
-        if lo > hi:
-            natural = False
-    if not has_relation:
+    covers = poset.covers
+    strict = all(lo > hi for lo, hi in covers)
+    natural = all(lo < hi for lo, hi in covers)
+    if strict and natural:
         return "both"
-    if strict:
-        return "strict"
-    if natural:
-        return "natural"
-    return "neither"
+    return "strict" if strict else "natural" if natural else "neither"

@@ -515,6 +515,9 @@ def nl_unitriangular_matrix(n):
     Rows and columns are in the pivot table's triangular order, in which
     the matrix is integer upper unitriangular.
     """
+    n = json_int(n, "N to L matrix degree")
+    if n < 1:
+        raise ValidationError("N to L matrices are defined for degree >= 1")
     table = nl_ascent_run_rows(n)
     order = tuple(alpha for alpha, _, _ in table)
     rows = []

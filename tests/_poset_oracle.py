@@ -3,12 +3,31 @@ product poset behind the N-basis structure constants.
 
 The package counts the structure constants block by block without building
 the product poset; these oracles build it and list its induced ordered
-partitions, which the tests compare with the counts.
+partitions, which the tests compare with the counts.  The package reads
+is_antichain_inducing off the covers; the oracle here lists every linear
+extension instead.
 """
 
 from nqsym.compositions import as_composition, binary_word, rank, segment, weight
 from nqsym.errors import ValidationError
-from nqsym.posets import LabeledPoset
+from nqsym.posets import LabeledPoset, decompose_by
+
+
+def is_antichain_inducing_by_extensions(poset, set_partition):
+    """True iff every block of every ordered partition that set_partition
+    induces on a linear extension is an antichain, by listing them all."""
+    index = {x: i for i, x in enumerate(poset.labels)}
+    below_masks = poset.below_masks
+
+    def is_antichain(block):
+        mask = sum(1 << index[x] for x in block)
+        return all(not below_masks[index[x]] & mask for x in block)
+
+    return all(
+        is_antichain(block)
+        for induced in decompose_by(poset, set_partition)
+        for block in induced
+    )
 
 
 def binary_word_cmp(a, b):

@@ -231,6 +231,8 @@ def test_induced_partition_by_set_partition_example():
         frozenset({3}),
         frozenset({1}),
     )
+    # the empty word induces the empty ordered partition
+    assert comp.induced_partition_by_set_partition((), frozenset()) == ()
 
 
 def test_induced_partition_respects_blocks():
@@ -325,6 +327,9 @@ def test_python_constructors_reject_non_int_entries(build):
             lambda: TensorElement("M", {((1,),): 1}),
             "a tensor key must be a pair of compositions, got ((1,),)",
         ),
+        (lambda: comp.as_permutation(5), "permutation must be a collection, got 5"),
+        (lambda: comp.as_set_partition(5), "set partition must be a collection, got 5"),
+        (lambda: comp.as_ordered_partition([5]), "a block must be a collection, got 5"),
     ],
     ids=[
         "as_composition",
@@ -334,6 +339,9 @@ def test_python_constructors_reject_non_int_entries(build):
         "term-of-one",
         "tensor-key-not-a-pair",
         "tensor-key-of-one",
+        "as_permutation",
+        "as_set_partition",
+        "ordered-partition-block",
     ],
 )
 def test_malformed_compositions_and_terms_are_named(build, message):

@@ -6,6 +6,7 @@ import pytest
 from _poset_oracle import (
     disjoint_sum_relabeled,
     induced_ordered_partitions,
+    is_antichain_inducing_by_extensions,
     nbasis_product_poset,
 )
 from nqsym import compositions as comp
@@ -13,6 +14,7 @@ from nqsym.elements import QSymElement
 from nqsym.errors import ResourceLimitError, ValidationError
 from nqsym.posets import (
     LabeledPoset,
+    alternating_antichain_labels,
     antichain,
     build_P_K,
     build_P_alpha,
@@ -47,6 +49,8 @@ def random_poset(rng, labels):
 def test_construction_rejects_cycles_and_bad_labels():
     with pytest.raises(ValidationError):
         LabeledPoset([1, 2], [(1, 2), (2, 1)])
+    with pytest.raises(ValidationError, match="^order relation contains a cycle$"):
+        LabeledPoset([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)])
     with pytest.raises(ValidationError):
         LabeledPoset([1, 2], [(1, 3)])
     with pytest.raises(ValidationError):
@@ -78,7 +82,44 @@ def test_covers_are_transitive_reduction():
     assert p.covers == frozenset({(1, 2), (2, 3)})
     assert p.less(1, 3)
     q = LabeledPoset([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    assert q == p
+    assert q == p and hash(q) == hash(p)
+    # the closure reaches the bottom of a chain given by its covers alone
+    assert chain([1, 2, 3, 4, 5]).below_masks == (0, 1, 3, 7, 15)
+    assert LabeledPoset.__slots__ == ("labels", "below_masks")
+    for gone in ("below", "relations", "is_antichain"):
+        assert not hasattr(p, gone)
+
+
+def test_masks_and_covers_match_brute_force_closure_and_reduction():
+    rng = random.Random(24)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        labels = rng.sample(range(1, 30), n)
+        # pairs earlier -> later in a random order, so the relation is acyclic
+        relations = [
+            (a, b) for i, a in enumerate(labels) for b in labels[i + 1 :] if rng.random() < 0.3
+        ]
+        rng.shuffle(relations)
+        p = LabeledPoset(labels, relations)
+        closure = set(relations)
+        while True:
+            more = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+            if not more:
+                break
+            closure |= more
+        reduction = {
+            (a, c)
+            for a, c in closure
+            if not any((a, b) in closure and (b, c) in closure for b in labels)
+        }
+        index = {x: i for i, x in enumerate(p.labels)}
+        assert p.below_masks == tuple(
+            sum(1 << index[a] for a, b in closure if b == x) for x in p.labels
+        )
+        assert p.covers == reduction
+        assert all(p.less(a, b) == ((a, b) in closure) for a in labels for b in labels)
+        q = LabeledPoset(reversed(labels), sorted(reduction))
+        assert q == p and hash(q) == hash(p)
 
 
 def test_linear_extensions_of_P122():
@@ -307,6 +348,119 @@ def test_induced_ordered_partitions_matches_definitional_route():
         direct = set(map(tuple, induced_ordered_partitions(p, parts)))
         T = comp.as_set_partition(parts)
         assert direct == decompose_by(p, T)
+
+
+def _all_posets(n):
+    """Every strict order on the labels 1..n, each once."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    found = {}
+    for chosen in range(1 << len(pairs)):
+        try:
+            p = LabeledPoset(
+                range(1, n + 1), [pair for i, pair in enumerate(pairs) if chosen >> i & 1]
+            )
+        except ValidationError:
+            continue
+        found.setdefault(p.below_masks, p)
+    return list(found.values())
+
+
+def _set_partitions(labels):
+    if not labels:
+        yield []
+        return
+    first, rest = labels[0], labels[1:]
+    for blocks in _set_partitions(rest):
+        yield [{first}] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [blocks[i] | {first}] + blocks[i + 1 :]
+
+
+def test_antichain_inducing_matches_extension_oracle_up_to_four_labels():
+    pairs = 0
+    for n, count in zip(range(1, 5), (1, 3, 19, 219)):
+        posets = _all_posets(n)
+        assert len(posets) == count
+        for p in posets:
+            for blocks in _set_partitions(list(p.labels)):
+                T = comp.as_set_partition(blocks)
+                assert is_antichain_inducing(p, T) == is_antichain_inducing_by_extensions(
+                    p, T
+                ), (p, T)
+                pairs += 1
+    assert pairs == 3387
+
+
+def test_antichain_inducing_matches_extension_oracle_on_sampled_posets():
+    rng = random.Random(42)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(5, 7)
+        p = random_poset(rng, range(1, n + 1))
+        parts = rng.randint(1, n)
+        pieces = {}
+        for x in p.labels:
+            pieces.setdefault(rng.randrange(parts), set()).add(x)
+        T = comp.as_set_partition(pieces.values())
+        expected = is_antichain_inducing_by_extensions(p, T)
+        assert is_antichain_inducing(p, T) == expected, (p, T)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_antichain_inducing_reads_covers_not_comparable_pairs():
+    # 1 < 3 share a block, but 2 always sits between them
+    assert is_antichain_inducing(chain([1, 2, 3]), [{1, 3}, {2}])
+    assert not is_antichain_inducing(chain([1, 2, 3]), [{1}, {2, 3}])
+
+
+def test_antichain_inducing_past_the_enumeration_cap():
+    assert is_antichain_inducing(antichain(range(1, 41)), [{x} for x in range(1, 41)])
+    p = build_P_alpha((4, 4, 4, 4))
+    blocks = alternating_antichain_labels((4, 4, 4, 4))
+    assert is_antichain_inducing(p, blocks)
+    assert not is_antichain_inducing(p, [blocks[0] + blocks[1]] + blocks[2:])
+    with pytest.raises(ResourceLimitError):
+        decompose_by(p, blocks)
+
+
+def test_empty_poset_decomposes_into_the_empty_partition():
+    empty = LabeledPoset([])
+    assert decompose_by(empty, []) == {()}
+    assert is_antichain_inducing(empty, []) is True
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LabeledPoset(5), "poset labels must be a collection, got 5"),
+        (lambda: LabeledPoset([1, 2], 5), "poset relations must be a collection, got 5"),
+        (lambda: LabeledPoset([1, 2], [(1,)]), "a relation must be a pair of labels, got (1,)"),
+        (lambda: LabeledPoset([1, 2], [5]), "a relation must be a pair of labels, got 5"),
+        (
+            lambda: is_antichain_inducing(chain([1, 2]), 5),
+            "set partition must be a collection, got 5",
+        ),
+        (lambda: decompose_by(chain([1, 2]), [5]), "a block must be a collection, got 5"),
+        (
+            lambda: is_antichain_inducing(chain([1, 2]), [{1}]),
+            "set partition must partition the poset labels",
+        ),
+        (
+            lambda: decompose_by(chain([1, 2]), [{1}, {2, 3}]),
+            "set partition must partition the poset labels",
+        ),
+    ],
+    ids=[
+        "labels", "relations", "relation-of-one", "relation-not-a-pair",
+        "antichain-inducing-partition", "decompose-block", "antichain-inducing-cover",
+        "decompose-cover",
+    ],
+)
+def test_malformed_poset_arguments_are_named(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_labeling_kind():

@@ -464,6 +464,14 @@ def test_nl_unitriangular_matrix():
     assert any(
         rows4[i][j] != 0 for i in range(len(rows4)) for j in range(i)
     ), "binary word order happens to triangularize degree 4"
+    # n is read as transition_matrix reads it
+    for n, message in (
+        (0, "N to L matrices are defined for degree >= 1"),
+        ("3", "N to L matrix degree must be an integer, got '3'"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            qsym.nl_unitriangular_matrix(n)
+        assert str(info.value) == message
 
 
 def test_mul_examples():
