@@ -87,6 +87,8 @@ def cmd_mul(args):
 def cmd_matroid_f(args):
     from .matroids import Matroid, loops_coloops_from_qsym, qsym_of_matroid
 
+    if args.max_n < 0:
+        raise ValidationError(f"matroid-f needs --max-n >= 0, got {args.max_n}")
     matroid = Matroid.from_json(_read_json_stdin())
     if matroid.n > args.max_n:
         raise ResourceLimitError(

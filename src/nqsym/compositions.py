@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from functools import lru_cache
 from itertools import permutations as _permutations, product as _product
+from operator import eq, lt
 
 from .errors import ValidationError
 
@@ -178,20 +179,26 @@ def as_permutation(entries):
     return perm
 
 
-def runs(perm):
-    """Composition of lengths of maximal increasing runs of the one-line word."""
-    if not perm:
-        raise ValidationError("runs undefined for the empty permutation")
+def _run_lengths(seq, continues):
+    """Lengths of the maximal runs of a nonempty sequence, a run going on
+    while continues(previous, next) holds."""
     parts = []
     current = 1
-    for prev, nxt in zip(perm, perm[1:]):
-        if prev < nxt:
+    for goes_on in map(continues, seq, seq[1:]):
+        if goes_on:
             current += 1
         else:
             parts.append(current)
             current = 1
     parts.append(current)
     return tuple(parts)
+
+
+def runs(perm):
+    """Composition of lengths of maximal increasing runs of the one-line word."""
+    if not perm:
+        raise ValidationError("runs undefined for the empty permutation")
+    return _run_lengths(perm, lt)
 
 
 def ascent_word(perm):
@@ -201,28 +208,15 @@ def ascent_word(perm):
     return "1" + "".join("1" if a < b else "0" for a, b in zip(perm, perm[1:]))
 
 
-def _word_run_lengths(word):
-    parts = []
-    current = 1
-    for prev, nxt in zip(word, word[1:]):
-        if prev == nxt:
-            current += 1
-        else:
-            parts.append(current)
-            current = 1
-    parts.append(current)
-    return tuple(parts)
-
-
 def rho(perm):
     """Run lengths of maximal blocks of equal digits in the ascent word."""
-    return _word_run_lengths(ascent_word(perm))
+    return _run_lengths(ascent_word(perm), eq)
 
 
 def runs_to_rho(comp):
     """Translate an increasing-run composition to its ascent-word run lengths."""
     word = "1" * comp[0] + "".join("0" + "1" * (p - 1) for p in comp[1:])
-    return _word_run_lengths(word)
+    return _run_lengths(word, eq)
 
 
 def rho_to_runs(comp):

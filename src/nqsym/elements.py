@@ -64,17 +64,40 @@ def _tensor_key(pair):
     return as_composition(left), as_composition(right)
 
 
-class QSymElement:
-    """A finite linear combination of basis elements of one fixed basis."""
+class _TermMap:
+    """The immutable basis tag and dict of nonzero terms that QSymElement
+    and TensorElement share; an element only equals one of its own class."""
 
     __slots__ = ("basis", "terms")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.basis == other.basis
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.basis, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.basis!r}, {dict(self.sorted_terms())!r})"
+
+
+class QSymElement(_TermMap):
+    """A finite linear combination of basis elements of one fixed basis."""
+
+    __slots__ = ()
 
     def __init__(self, basis, terms=()):
         object.__setattr__(self, "terms", _normalized_terms(basis, terms, as_composition))
         object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSymElement is immutable")
 
     # -- constructors
 
@@ -122,9 +145,6 @@ class QSymElement:
         return cls(basis, {as_composition(comp): coeff})
 
     # -- inspection
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def coefficient(self, comp):
         return self.terms.get(tuple(comp), 0)
@@ -200,20 +220,7 @@ class QSymElement:
             return mul(self, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QSymElement)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.terms.items())))
-
     # -- rendering and JSON
-
-    def __repr__(self):
-        return f"QSymElement({self.basis!r}, {dict(self.sorted_terms())!r})"
 
     def __str__(self):
         return format_element(self)
@@ -270,20 +277,14 @@ def format_element(element):
     return out
 
 
-class TensorElement:
+class TensorElement(_TermMap):
     """A sparse sum of two-sided tensors q1 (x) q2, both sides in one basis."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
 
     def __init__(self, basis, terms=()):
         object.__setattr__(self, "terms", _normalized_terms(basis, terms, _tensor_key))
         object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def coefficient(self, left, right):
         return self.terms.get((tuple(left), tuple(right)), 0)
@@ -296,21 +297,8 @@ class TensorElement:
             out[key] = out.get(key, 0) + coeff
         return TensorElement(self.basis, out)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.terms.items())))
-
     def sorted_terms(self):
         return sorted(
             self.terms.items(),
             key=lambda kv: (term_order_key(kv[0][0]), term_order_key(kv[0][1])),
         )
-
-    def __repr__(self):
-        return f"TensorElement({self.basis!r}, {dict(self.sorted_terms())!r})"

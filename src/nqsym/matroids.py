@@ -11,7 +11,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, repeat
-from math import comb, lcm
+from math import comb
+from operator import and_, or_
 
 from .compositions import (
     as_composition,
@@ -26,6 +27,7 @@ from .elements import QSymElement
 from .errors import NotDivisibleError, ValidationError
 from .posets import LabeledPoset
 from .qsym import (
+    _scaled,
     convert,
     divide_by_pure_power,
     in_Vnr,
@@ -256,22 +258,18 @@ class Matroid:
         return self._masks[0].bit_count()
 
     def loops(self):
-        union = 0
-        for m in self._masks:
-            union |= m
-        return frozenset(_elements_of(((1 << self.n) - 1) & ~union))
+        return frozenset(_elements_of(((1 << self.n) - 1) & ~reduce(or_, self._masks)))
 
     def coloops(self):
-        inter = (1 << self.n) - 1
-        for m in self._masks:
-            inter &= m
-        return frozenset(_elements_of(inter))
+        return frozenset(_elements_of(reduce(and_, self._masks)))
 
     def dual(self):
         full = (1 << self.n) - 1
         return Matroid.from_masks(self.n, [full & ~m for m in self._masks])
 
     def direct_sum(self, other):
+        if not isinstance(other, Matroid):
+            raise ValidationError(f"direct_sum expects a Matroid, got {other!r}")
         return Matroid.from_masks(
             self.n + other.n,
             [m1 | m2 << self.n for m1 in self._masks for m2 in other._masks],
@@ -576,27 +574,25 @@ def _interleave(ground, family, orbits):
     _clone_orbits, weighted by the orbit's size, or every basis weighted 1
     (the all-bases route of _qsym_by_interleaving).  An automorphism of the
     family maps a basis's exchange graph onto an isomorphic one, so every
-    basis of an orbit has its representative's type counts.  Those depend only on its rank and on the multiset of its cobase elements'
-    partner masks over the base positions 0..r-1 (its exchange graph, from
+    basis of an orbit has its representative's type counts.  Those depend
+    only on its rank and on the multiset of its cobase elements' partner
+    masks over the base positions 0..r-1 (its exchange graph, from
     _partner_masks, which base_poset and Matroid.components read too), and
     only up to a renaming of those positions, since a base block may be any
-    submask.  So the bases are grouped by their partner masks in ground
-    order, the groups are merged again under the renaming of _relabelled,
-    and each merged shape is interleaved once and weighted by the number of
-    its bases.  Within a shape only the base blocks are listed: a cobase
-    element is blocked while one of its partners is unplaced and released
-    after, and released elements are interchangeable, so each cobase block
-    is counted by its size with a binomial weight (see _basis_type_counts).
+    submask.  So each representative is keyed by its rank and its partner
+    masks under the renaming of _relabelled, which sorts them, and each
+    class is interleaved once and weighted by the number of its bases.
+    Within a shape only the base blocks are listed: a cobase element is
+    blocked while one of its partners is unplaced and released after, and
+    released elements are interchangeable, so each cobase block is counted
+    by its size with a binomial weight (see _basis_type_counts).
     """
     if not ground:
         return {(): 1}
-    shapes = {}
-    for bmask, multiplicity in orbits.items():
-        partners = _partner_masks(bmask, ground & ~bmask, family)
-        key = (bmask.bit_count(), tuple(sorted(partners)))
-        shapes[key] = shapes.get(key, 0) + multiplicity
     classes = {}
-    for (rank, partners), multiplicity in shapes.items():
+    for bmask, multiplicity in orbits.items():
+        rank = bmask.bit_count()
+        partners = _partner_masks(bmask, ground & ~bmask, family)
         key = (rank, _relabelled(rank, partners))
         classes[key] = classes.get(key, 0) + multiplicity
     acc = {}
@@ -612,9 +608,7 @@ def _qsym_by_interleaving(matroid):
     _interleave): the route that duality_check reads on a matroid and on
     its dual, so that the two are computed independently, and the oracle
     of the clone orbits of qsym_of_matroid."""
-    union = 0
-    for m in matroid._masks:
-        union |= m
+    union = reduce(or_, matroid._masks)
     acc = _interleave(union, matroid._mask_set, dict.fromkeys(matroid._masks, 1))
     element = QSymElement._trusted("N", acc)
     loops = matroid.n - union.bit_count()
@@ -890,17 +884,12 @@ def u_coordinates(element):
     n = q.degree()
     if n < 2 or not in_Vnr(q, n, 2):
         raise ValidationError("element does not lie in the rank-two span")
-    denom = lcm(*(v.denominator for v in q.terms.values()))
-
-    def numerator(comp):
-        v = q.terms.get(drop_zero_parts(comp), 0)
-        return v.numerator * (denom // v.denominator)
-
-    c = [0] + [numerator((1, j, 1, n - 2 - j)) for j in range(1, n - 1)]
+    denom, numerators = _scaled(q)
+    c = [0] + [numerators.get(drop_zero_parts((1, j, 1, n - 2 - j)), 0) for j in range(1, n - 1)]
     s = [0, 0]
     for i in range(1, n - 1):
         s.append(sum((-1) ** (j - i) * comb(j, i) * c[j] for j in range(i, n - 1)))
-    s[1] = 2 * numerator((2, n - 2)) - sum(s[2:])
+    s[1] = 2 * numerators.get(drop_zero_parts((2, n - 2)), 0) - sum(s[2:])
     return n, tuple(Fraction(s[k], k * (n - k) * denom) for k in range(1, n))
 
 
@@ -1320,10 +1309,7 @@ def sample_loopless_matroid(rng, n):
         if deleted >= goal or len(current) == 1:
             break
         trial = current - {candidate}
-        union = 0
-        for m in trial:
-            union |= m
-        if union != full:
+        if reduce(or_, trial) != full:
             continue
         if _deletion_keeps_exchange(n, trial, candidate):
             current = trial

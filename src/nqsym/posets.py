@@ -154,6 +154,7 @@ def linear_extensions(poset, limit=DEFAULT_ENUMERATION_LIMIT):
     Backtracks over currently minimal elements in ascending label order.
     Raises ResourceLimitError beyond the size cap, which defaults to 12.
     """
+    limit = json_int(limit, "enumeration limit")
     if poset.n > limit:
         raise ResourceLimitError(
             f"poset on {poset.n} elements exceeds enumeration limit {limit}"

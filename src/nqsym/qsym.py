@@ -27,10 +27,10 @@ for a cut.  None of them reads a per-degree table.
   the division.
 Small degrees use stored rows, one per word, in place of the recursion.
 
-Products are taken in the monomial basis by quasi-shuffles, or directly in
-the N basis through its structure constants.  Those are counted block by
-block with binomial weights, so the product poset and its induced ordered
-partitions are never built; listing them is an oracle in the tests.
+Products run one bilinear loop, in the monomial basis over quasi-shuffles
+or directly in the N basis over its structure constants.  Those are counted
+block by block with binomial weights, so the product poset and its induced
+ordered partitions are never built; listing them is an oracle in the tests.
 
 The expansion tables (refinements_of, nbasis_in_fundamental,
 structure_constants) return their terms in whatever order they are
@@ -556,19 +556,23 @@ def _quasi_shuffle(left, right):
 quasi_shuffle = _composition_keyed(_quasi_shuffle)
 
 
+def _product(q1, q2, basis, table):
+    """Bilinear extension of a table of basis products, on the factors' int
+    numerators in basis over the product of their denominators."""
+    d1, n1 = _numerators_in(q1, basis)
+    d2, n2 = _numerators_in(q2, basis)
+    out = {}
+    for a, ca in n1.items():
+        for b, cb in n2.items():
+            scale = ca * cb
+            for comp, k in table(a, b):
+                out[comp] = out.get(comp, 0) + scale * k
+    return QSymElement._from_numerators(basis, out, d1 * d2)
+
+
 def mul(q1, q2):
     """Ring product computed in the monomial basis via quasi-shuffles."""
-    d1, m1 = _numerators_in(q1, "M")
-    d2, m2 = _numerators_in(q2, "M")
-    out = {}
-    for gamma, cg in m1.items():
-        for delta, cd in m2.items():
-            scale = cg * cd
-            if not scale:
-                continue
-            for comp, k in _quasi_shuffle(gamma, delta):
-                out[comp] = out.get(comp, 0) + scale * k
-    return QSymElement._from_numerators("M", out, d1 * d2)
+    return _product(q1, q2, "M", _quasi_shuffle)
 
 
 @lru_cache(maxsize=None)
@@ -636,15 +640,7 @@ def nbasis_product(q1, q2):
     """Bilinear extension of mul_nbasis to N-basis elements."""
     if q1.basis != "N" or q2.basis != "N":
         raise ValidationError("nbasis_product expects N-basis elements")
-    d1, n1 = _scaled(q1)
-    d2, n2 = _scaled(q2)
-    out = {}
-    for a, ca in n1.items():
-        for b, cb in n2.items():
-            scale = ca * cb
-            for comp, k in _structure_constants(a, b):
-                out[comp] = out.get(comp, 0) + scale * k
-    return QSymElement._from_numerators("N", out, d1 * d2)
+    return _product(q1, q2, "N", _structure_constants)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,20 @@ def test_error_exit_codes(capsys):
     assert code == 1
 
 
+def test_matroid_f_rejects_a_negative_max_n(capsys):
+    # a negative bound would refuse every matroid, so it is an input error
+    big = json.dumps({"n": 14, "bases": [list(range(1, 15))]})
+    code, out = run_cli(["matroid-f", "--max-n", "-1"], big, capsys)
+    assert code == 1
+    assert out == (
+        '{"error": {"kind": "ValidationError", '
+        '"message": "matroid-f needs --max-n >= 0, got -1"}}\n'
+    )
+    code, out = run_cli(["matroid-f", "--max-n", "0"], '{"n": 0, "bases": [[]]}', capsys)
+    assert code == 0
+    assert json.loads(out)["element"] == {"basis": "N", "terms": [{"comp": [], "num": 1, "den": 1}]}
+
+
 def test_matroid_f_bounds_the_ground_set_after_validating(capsys):
     # the one matroid size check: --max-n, applied once the input is valid
     big = json.dumps({"n": 14, "bases": [list(range(1, 15))]})

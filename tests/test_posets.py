@@ -145,6 +145,10 @@ def test_linear_extensions_limit():
     # explicit override allows larger posets
     big = chain(range(1, 14))
     assert len(list(linear_extensions(big, limit=14))) == 1
+    for limit in ("3", 3.0, True):
+        with pytest.raises(ValidationError) as info:
+            linear_extensions(chain([1, 2]), limit=limit)
+        assert str(info.value) == f"enumeration limit must be an integer, got {limit!r}"
 
 
 def test_qsym_of_poset_P122():

@@ -45,6 +45,31 @@ def test_element_normalization_and_equality():
     assert QSymElement("M", {(1, 2): Fraction(2, 2)}).is_integral()
 
 
+def test_elements_and_tensors_share_one_term_map():
+    q = QSymElement("M", {(1,): 1})
+    t = TensorElement("M", {((1,), ()): 1})
+    # equality reads the basis tag as well as the terms
+    assert q != QSymElement("L", {(1,): 1})
+    assert t != TensorElement("N", {((1,), ()): 1})
+    # an element never equals a tensor, even with no terms on either side
+    assert QSymElement.zero("M") != TensorElement("M")
+    assert TensorElement("M") != QSymElement.zero("M")
+    # equal elements hash equal
+    q_again = QSymElement("M", [((1,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
+    t_again = TensorElement("M", [(((1,), ()), Fraction(1, 3)), (((1,), ()), Fraction(2, 3))])
+    assert q == q_again and hash(q) == hash(q_again)
+    assert t == t_again and hash(t) == hash(t_again)
+    assert not QSymElement.zero("M") and not TensorElement("M") and q and t
+    assert repr(q) == "QSymElement('M', {(1,): 1})"
+    assert repr(t) == "TensorElement('M', {((1,), ()): 1})"
+    for value in (q, t):
+        assert not hasattr(value, "__dict__")
+        for name in ("basis", "other"):
+            with pytest.raises(AttributeError) as info:
+                setattr(value, name, "L")
+            assert str(info.value) == f"{type(value).__name__} is immutable"
+
+
 def test_merged_coefficients_are_normalized():
     # repeated keys are summed; thirds that sum to 1 give the int 1
     third, two_thirds = Fraction(1, 3), Fraction(2, 3)
@@ -480,6 +505,24 @@ def test_mul_examples():
     one = QSymElement.one("M")
     q = QSymElement("M", {(2, 1): 3, (1,): -2})
     assert qsym.mul(one, q) == q
+
+
+def test_products_put_the_sum_over_both_denominators():
+    # mul and nbasis_product share one bilinear loop: each pair of terms is
+    # weighted by its numerators, over the product of the two denominators
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    m = qsym.mul(QSymElement("M", {(1,): half}), QSymElement("M", {(1,): third, (2,): 1}))
+    assert m.terms == {
+        (1, 1): Fraction(1, 3),
+        (2,): Fraction(1, 6),
+        (1, 2): half,
+        (2, 1): half,
+        (3,): half,
+    }
+    n = qsym.nbasis_product(
+        QSymElement("N", {(1,): half}), QSymElement("N", {(1,): third, (1, 1): 1})
+    )
+    assert n.terms == {(2,): Fraction(1, 6), (2, 1): half, (1, 1, 1): half}
 
 
 def test_mul_commutative_associative():
