@@ -200,50 +200,44 @@ def build_parser():
         description="quasisymmetric N-basis and rank-two matroid invariant toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("expand", help="expand an N basis element in the L and M bases")
+    def command(name, func, summary):
+        """Add a subcommand that runs func and, like every one, takes --pretty."""
+        p = sub.add_parser(name, help=summary, parents=[shared])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("expand", cmd_expand, "expand an N basis element in the L and M bases")
     p.add_argument("--comp", required=True, help="composition, e.g. 1,2,2 or 122")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("convert", help="convert an element (JSON on stdin) to a basis")
+    p = command("convert", cmd_convert, "convert an element (JSON on stdin) to a basis")
     p.add_argument("--to", dest="basis", required=True, choices=["M", "L", "N"])
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("mul", help="multiply elements (JSON array on stdin)")
+    p = command("mul", cmd_mul, "multiply elements (JSON array on stdin)")
     p.add_argument("--basis", default="M", choices=["M", "L", "N"])
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_mul)
 
-    p = sub.add_parser("matroid-f", help="invariant of a matroid (JSON on stdin)")
+    p = command("matroid-f", cmd_matroid_f, "invariant of a matroid (JSON on stdin)")
     p.add_argument("--basis", default="N", choices=["M", "L", "N"])
     p.add_argument("--max-n", dest="max_n", type=int, default=12)
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_matroid_f)
 
-    p = sub.add_parser("recover", help="recover a rank-two class from its invariant")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_recover)
+    command("recover", cmd_recover, "recover a rank-two class from its invariant")
 
-    p = sub.add_parser("rank2-split", help="split a rank-two class at a position")
+    p = command("rank2-split", cmd_rank2_split, "split a rank-two class at a position")
     p.add_argument("--lambda", dest="lam", required=True, help="composition of block sizes")
     p.add_argument("--s", type=int, required=True, help="split position, 1 <= s < parts")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_rank2_split)
 
-    p = sub.add_parser(
-        "geom-decompose", help="realize a class equation as a polytope decomposition"
+    command(
+        "geom-decompose",
+        cmd_geom_decompose,
+        "realize a class equation as a polytope decomposition",
     )
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_geom_decompose)
 
-    p = sub.add_parser("verify", help="run the verification suite")
+    p = command("verify", cmd_verify, "run the verification suite")
     p.add_argument("--max-n", dest="max_n", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="also write the JSON report to this path")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -69,31 +69,33 @@ def composition_to_subset(comp):
     """Partial sums excluding the total, as a frozenset of {1..weight-1}."""
     out = []
     acc = 0
-    for part in comp[:-1]:
+    for part in as_composition(comp)[:-1]:
         acc += part
         out.append(acc)
     return frozenset(out)
 
 
 def subset_to_composition(subset, n):
-    """Inverse of composition_to_subset for subsets of [n-1]."""
-    s = sorted(subset)
+    """Inverse of composition_to_subset for subsets of [n-1]; n must be an
+    int >= 0 and the subset a collection of ints."""
+    if json_int(n, "the subset's weight n") < 0:
+        raise ValidationError(f"the subset's weight n must be >= 0, got {n}")
+    s = sorted(json_int(x, "subset elements") for x in json_iter(subset, "subset"))
     if any(not 1 <= x <= n - 1 for x in s):
-        raise ValidationError(f"subset {sorted(subset)} is not contained in [{n - 1}]")
+        raise ValidationError(f"subset {s} is not contained in [{n - 1}]")
     prev = 0
     parts = []
     for x in s:
         parts.append(x - prev)
         prev = x
-    if n > prev:
+    if n:
         parts.append(n - prev)
-    elif n < prev:
-        raise ValidationError("subset maximum exceeds n")
     return tuple(parts)
 
 
 def refines(fine, coarse):
     """True iff `fine` refines `coarse` (equal weight, coarse cut points kept)."""
+    fine, coarse = as_composition(fine), as_composition(coarse)
     if weight(fine) != weight(coarse):
         return False
     return composition_to_subset(coarse) <= composition_to_subset(fine)
@@ -129,7 +131,7 @@ def partitions(n, min_parts=0):
 
 def binary_word(comp):
     """The word with comp[0] zeros, comp[1] ones, comp[2] zeros, alternating."""
-    return "".join(("0" if i % 2 == 0 else "1") * p for i, p in enumerate(comp))
+    return "".join(("0" if i % 2 == 0 else "1") * p for i, p in enumerate(as_composition(comp)))
 
 
 @lru_cache(maxsize=None)
@@ -215,6 +217,9 @@ def rho(perm):
 
 def runs_to_rho(comp):
     """Translate an increasing-run composition to its ascent-word run lengths."""
+    comp = as_composition(comp)
+    if not comp:
+        raise ValidationError("runs_to_rho undefined for the empty composition")
     word = "1" * comp[0] + "".join("0" + "1" * (p - 1) for p in comp[1:])
     return _run_lengths(word, eq)
 

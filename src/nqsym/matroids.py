@@ -459,23 +459,25 @@ def _relabelled(rank, partners):
     """The partner masks of a basis shape with its base positions renamed in
     a fixed order, sorted.
 
-    Positions are ordered by their number of partners and then by the sorted
-    sizes of those partners' masks, ties kept in position order, and the
+    Positions are ordered by their number of partners and then by the sum
+    of those partners' mask sizes, ties kept in position order, and the
     renaming is a bijection, so the result is the exchange graph of an
     isomorphic shape.  Equal results are isomorphic graphs, though two
     isomorphic graphs need not give equal results: it merges shapes without
-    being a complete canonical form.
+    being a complete canonical form.  Each position's key is one int, the
+    partner count above the bits that hold the sum, which stays below
+    len(partners) * rank.
     """
-    sizes = [[] for _ in range(rank)]
+    count = 1 << (len(partners) * rank).bit_length()
+    keys = [0] * rank
     for p in partners:
-        size = p.bit_count()
+        step = count + p.bit_count()
         while p:
             low = p & -p
             p ^= low
-            sizes[low.bit_length() - 1].append(size)
-    signatures = [(len(mine), sorted(mine)) for mine in sizes]
+            keys[low.bit_length() - 1] += step
     new_bit = [0] * rank
-    for j, i in enumerate(sorted(range(rank), key=signatures.__getitem__)):
+    for j, i in enumerate(sorted(range(rank), key=keys.__getitem__)):
         new_bit[i] = 1 << j
     out = []
     for p in partners:

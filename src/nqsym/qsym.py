@@ -101,7 +101,6 @@ def _refinements_of(comp):
     concatenations of one composition of each part.  No conversion reads
     this table: M and L are related by subset sums over cut masks.
     """
-    comp = as_composition(comp)
     out = [()]
     for part in comp:
         pieces = ordered_compositions(part)
@@ -162,23 +161,27 @@ def _named(vec, n, out):
     out.update(zip(compress(_mask_compositions(n), vec), filter(None, vec)))
 
 
-def _unit_rows(n, convert_levels, *args):
-    """The rows of a linear map at degree n: the images of the unit vectors
-    under convert_levels(vec, n, *args)."""
-    size = 1 << (n - 1)
-    return tuple(
-        tuple(convert_levels([int(m == e) for m in range(size)], n, *args))
-        for e in range(size)
-    )
-
-
-def _row_sum(vec, rows):
-    """The sum of vec[e] * rows[e]."""
+def _apply(levels, vec, n, *args):
+    """levels(vec, n, *args), one of the level recursions below; degrees up
+    to _ROW_DEGREE read its stored rows instead."""
+    if n > _ROW_DEGREE:
+        return levels(vec, n, *args)
     out = [0] * len(vec)
-    for v, row in zip(vec, rows):
+    for v, row in zip(vec, _rows(levels, n, *args)):
         if v:
             out = [o + v * r for o, r in zip(out, row)]
     return out
+
+
+@lru_cache(maxsize=None)
+def _rows(levels, n, *args):
+    """The matrix of levels(vec, n, *args) in cut-mask order: the images of
+    the unit vectors."""
+    size = 1 << (n - 1)
+    return tuple(
+        tuple(levels([int(m == e) for m in range(size)], n, *args))
+        for e in range(size)
+    )
 
 
 def _add_product(vec, head, tail, offset, sign=1):
@@ -283,15 +286,9 @@ _FOLDS = {
 # N to L and N to M: a Horner fold
 
 
-def _horner(vec, n, target, level=0):
-    """The degree-n N numerators vec expanded in basis target, 'L' or 'M'."""
-    if n <= _ROW_DEGREE:
-        return _row_sum(vec, _expansion_rows(n, target, level))
-    return _horner_levels(vec, n, target, level)
-
-
 def _horner_levels(vec, n, target, level):
-    """The Horner fold over the first block.
+    """The degree-n N numerators vec expanded in basis target, 'L' or 'M',
+    by a Horner fold over the first block.
 
     As words over {a, d} (a: no cut, d: a cut) the N element of (k, beta)
     is B(k) s N'_beta: B(k) is the block vector of k, s the separator of
@@ -309,33 +306,20 @@ def _horner_levels(vec, n, target, level):
         g = vec[half::step]
         if not any(g):
             continue
-        tail = _horner(g, n - k, target, 1 - level)
+        tail = _apply(_horner_levels, g, n - k, target, 1 - level)
         for cut in seps[level]:
             _add_product(out, classes(k), tail, half if cut else 0)
     return out
-
-
-@lru_cache(maxsize=None)
-def _expansion_rows(n, target, level):
-    """The N to target matrix at degree n <= _ROW_DEGREE in cut-mask order,
-    at the given level."""
-    return _unit_rows(n, _horner_levels, target, level)
 
 
 # ---------------------------------------------------------------------------
 # L to N: a recursive left division
 
 
-def _divide(vec, n):
-    """L to N at degree n >= 1: the N numerators, in cut-mask order, of the
-    L numerators vec, which is consumed."""
-    if n <= _ROW_DEGREE:
-        return _row_sum(vec, _inverse_rows(n))
-    return _divide_levels(vec, n)
-
-
 def _divide_levels(vec, n):
-    """Left division by the first block.
+    """L to N at degree n >= 1: the N numerators, in cut-mask order, of the
+    L numerators vec, which is consumed, by left division by the first
+    block.
 
     At the descent level the N element of (k, beta) is D(k) d N'_beta,
     D(k) = _descent_classes(k).  Every word of D(k) has first part at most
@@ -358,14 +342,8 @@ def _divide_levels(vec, n):
         if not any(g):
             continue
         _add_product(vec, _descent_classes(k), g, half, -1)
-        out[half::step] = _divide(g[::-1], n - k)
+        out[half::step] = _apply(_divide_levels, g[::-1], n - k)
     return out
-
-
-@lru_cache(maxsize=None)
-def _inverse_rows(n):
-    """The L to N matrix at degree n <= _ROW_DEGREE in cut-mask order."""
-    return _unit_rows(n, _divide_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +413,9 @@ def _in_basis(vec, n, source, target):
     target; vec may be consumed.  The N basis is a Z-basis, so L to N, the
     division, keeps the numerators ints over the same denominator."""
     if source == "N":
-        return _horner(vec, n, target)
+        return _apply(_horner_levels, vec, n, target, 0)
     if target == "N":
-        return _divide(_in_basis(vec, n, source, "L"), n)
+        return _apply(_divide_levels, _in_basis(vec, n, source, "L"), n)
     if source != target:
         _subset_sums(vec, add if target == "M" else sub)
     return vec
@@ -534,7 +512,6 @@ def nl_unitriangular_matrix(n):
 @lru_cache(maxsize=None)
 def _quasi_shuffle(left, right):
     """Quasi-shuffle of two exponent compositions, as (composition, count) pairs."""
-    left, right = as_composition(left), as_composition(right)
     if not left:
         return ((right, 1),)
     if not right:
@@ -595,7 +572,6 @@ def _structure_constants(left, right):
     state is (left antichain, placed from it, right antichain, placed from
     it, part of the next block), mapped to its suffix type -> count.
     """
-    left, right = as_composition(left), as_composition(right)
     if not left:
         return ((right, 1),)
     if not right:

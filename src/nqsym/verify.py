@@ -1,11 +1,12 @@
 """Reproducible verification harness.
 
-Each check function runs one family of identities at a configurable size
-bound and returns a CheckResult; run_all caps every bound at the requested
-maximum so the command line can trade coverage for time.  All randomness is
-seeded and all arithmetic exact, so reports are byte-stable except for the
-elapsed_seconds that run_all adds to each check, timing its call; the
-command line writes those only to its --report file.
+Each check function runs one family of identities at keyword-only size
+bounds, whose defaults are its full bounds, and returns a CheckResult;
+run_all caps every bound at the requested maximum so the command line can
+trade coverage for time.  All randomness is seeded and all arithmetic
+exact, so reports are byte-stable except for the elapsed_seconds that
+run_all adds to each check, timing its call; the command line writes those
+only to its --report file.
 """
 
 import json
@@ -116,7 +117,7 @@ def check_worked_examples():
     )
 
 
-def check_zbasis(max_n=8):
+def check_zbasis(*, max_n=8):
     """Integer unitriangular change of basis between the N and L bases."""
     failures = []
     for n in range(1, max_n + 1):
@@ -161,7 +162,7 @@ def check_zbasis(max_n=8):
     )
 
 
-def check_structure_constants(max_weight=8):
+def check_structure_constants(*, max_weight=8):
     """N-basis products match the monomial quasi-shuffle oracle with
     nonnegative integer constants and additive weight and rank."""
     failures = []
@@ -215,7 +216,7 @@ def _membership_failures(matroid, label):
     return out
 
 
-def check_matroid_membership(rank2_max_n=9, sample_max_n=8, num_samples=200, seed=0):
+def check_matroid_membership(*, rank2_max_n=9, sample_max_n=8, num_samples=200, seed=0):
     """Loopless invariants live in the rank space with positive integer
     coordinates and count bases in the corner coordinate."""
     failures = []
@@ -241,7 +242,7 @@ def check_matroid_membership(rank2_max_n=9, sample_max_n=8, num_samples=200, see
     )
 
 
-def check_uniform_formula(max_n=9):
+def check_uniform_formula(*, max_n=9):
     """Uniform matroids: binomial(n, r) times the two-part corner element."""
     failures = []
     for n in range(1, max_n + 1):
@@ -259,7 +260,7 @@ def check_uniform_formula(max_n=9):
     )
 
 
-def check_rank2_formula(max_n=9):
+def check_rank2_formula(*, max_n=9):
     """Closed rank-two formula against direct computation, and the product
     identity for two-block classes."""
     failures = []
@@ -284,7 +285,7 @@ def check_rank2_formula(max_n=9):
     )
 
 
-def check_recovery(max_n=9):
+def check_recovery(*, max_n=9):
     """Round-trip class recovery from invariants, with loop and coloop
     variants, and the quotient recovery for three-part classes."""
     failures = []
@@ -326,7 +327,7 @@ def check_recovery(max_n=9):
     )
 
 
-def check_splits(max_n=8, seed=0):
+def check_splits(*, max_n=8, seed=0):
     """Split identities at every position, and geometric decompositions
     reassembled from repeated splitting."""
     failures = []
@@ -387,7 +388,7 @@ def check_splits(max_n=8, seed=0):
     )
 
 
-def check_hilbert_basis(max_n=8):
+def check_hilbert_basis(*, max_n=8):
     """Three-part classes are distinct, indecomposable, and generate."""
     failures = []
     for n in range(3, max_n + 1):
@@ -403,7 +404,7 @@ def check_hilbert_basis(max_n=8):
     )
 
 
-def check_invariance_duality_coproduct(num_matroids=100, seed=0, max_n=7):
+def check_invariance_duality_coproduct(*, num_matroids=100, seed=0, max_n=7):
     """Loop and coloop equivalence, the total count formula, part-reversal
     duality in both bases, and the coproduct counterexample."""
     failures = []
@@ -476,19 +477,6 @@ def check_invariance_duality_coproduct(num_matroids=100, seed=0, max_n=7):
     )
 
 
-FULL_BOUNDS = {
-    "worked-examples": {},
-    "zbasis-unitriangular": {"max_n": 8},
-    "structure-constants": {"max_weight": 8},
-    "matroid-membership": {"rank2_max_n": 9, "sample_max_n": 8, "num_samples": 200, "seed": 0},
-    "uniform-formula": {"max_n": 9},
-    "rank2-formula": {"max_n": 9},
-    "rank2-recovery": {"max_n": 9},
-    "splits-and-decompositions": {"max_n": 8, "seed": 0},
-    "hilbert-basis": {"max_n": 8},
-    "invariance-duality-coproduct": {"num_matroids": 100, "seed": 0, "max_n": 7},
-}
-
 CHECKS = (
     ("worked-examples", check_worked_examples),
     ("zbasis-unitriangular", check_zbasis),
@@ -501,6 +489,9 @@ CHECKS = (
     ("hilbert-basis", check_hilbert_basis),
     ("invariance-duality-coproduct", check_invariance_duality_coproduct),
 )
+
+# each family's full bounds are its keyword-only defaults, in signature order
+FULL_BOUNDS = {check_id: dict(func.__kwdefaults__ or {}) for check_id, func in CHECKS}
 
 
 def run_all(max_n=8, seed=0):

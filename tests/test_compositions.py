@@ -330,6 +330,36 @@ def test_python_constructors_reject_non_int_entries(build):
         (lambda: comp.as_permutation(5), "permutation must be a collection, got 5"),
         (lambda: comp.as_set_partition(5), "set partition must be a collection, got 5"),
         (lambda: comp.as_ordered_partition([5]), "a block must be a collection, got 5"),
+        (
+            lambda: comp.subset_to_composition({1.5}, 4),
+            "subset elements must be an integer, got 1.5",
+        ),
+        (
+            lambda: comp.subset_to_composition({True}, 3),
+            "subset elements must be an integer, got True",
+        ),
+        (
+            lambda: comp.subset_to_composition({"2"}, 4),
+            "subset elements must be an integer, got '2'",
+        ),
+        (
+            lambda: comp.subset_to_composition({1}, 3.0),
+            "the subset's weight n must be an integer, got 3.0",
+        ),
+        (
+            lambda: comp.subset_to_composition(set(), -3),
+            "the subset's weight n must be >= 0, got -3",
+        ),
+        (lambda: comp.subset_to_composition(5, 4), "subset must be a collection, got 5"),
+        (
+            lambda: comp.composition_to_subset((1.5, 2)),
+            "composition parts must be integers, got 1.5",
+        ),
+        (lambda: comp.refines((1.5,), (1.5,)), "composition parts must be integers, got 1.5"),
+        (lambda: comp.refines("12", "3"), "composition parts must be integers, got '1'"),
+        (lambda: comp.binary_word((1.5,)), "composition parts must be integers, got 1.5"),
+        (lambda: comp.runs_to_rho(()), "runs_to_rho undefined for the empty composition"),
+        (lambda: comp.runs_to_rho((2.0,)), "composition parts must be integers, got 2.0"),
     ],
     ids=[
         "as_composition",
@@ -342,6 +372,18 @@ def test_python_constructors_reject_non_int_entries(build):
         "as_permutation",
         "as_set_partition",
         "ordered-partition-block",
+        "subset-float",
+        "subset-bool",
+        "subset-string",
+        "subset-float-weight",
+        "subset-negative-weight",
+        "subset-not-a-collection",
+        "composition_to_subset-float",
+        "refines-float",
+        "refines-string",
+        "binary_word-float",
+        "runs_to_rho-empty",
+        "runs_to_rho-float",
     ],
 )
 def test_malformed_compositions_and_terms_are_named(build, message):

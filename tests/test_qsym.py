@@ -340,6 +340,19 @@ def test_horner_matches_dict_folds():
             ), alpha
 
 
+def test_stored_rows_match_the_level_recursion(monkeypatch):
+    routes = (("N", "L"), ("N", "M"), ("L", "N"), ("M", "N"))
+    singles = [
+        (QSymElement.single(source, alpha), target)
+        for n in range(1, 9)
+        for alpha in comp.compositions(n)
+        for source, target in routes
+    ]
+    expected = [qsym.convert(single, target) for single, target in singles]
+    monkeypatch.setattr(qsym, "_ROW_DEGREE", 0)
+    assert [qsym.convert(single, target) for single, target in singles] == expected
+
+
 def test_division_inverts_every_nbasis_element():
     for n in range(11):
         for alpha in comp.compositions(n):
@@ -853,7 +866,7 @@ def test_shared_caches_are_thread_safe():
     # every memo table that the M to N route reads
     for table in (
         qsym._descent_classes,
-        qsym._inverse_rows,
+        qsym._rows,
         qsym._mask_compositions,
     ):
         table.cache_clear()
