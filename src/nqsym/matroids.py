@@ -459,19 +459,22 @@ def _relabelled(rank, partners):
     """The partner masks of a basis shape with its base positions renamed in
     a fixed order, sorted.
 
-    Positions are ordered by their number of partners and then by the sum
-    of those partners' mask sizes, ties kept in position order, and the
-    renaming is a bijection, so the result is the exchange graph of an
+    Positions are ordered by their number of partners and then by the
+    multiset of those partners' mask sizes, ties kept in position order, and
+    the renaming is a bijection, so the result is the exchange graph of an
     isomorphic shape.  Equal results are isomorphic graphs, though two
     isomorphic graphs need not give equal results: it merges shapes without
-    being a complete canonical form.  Each position's key is one int, the
-    partner count above the bits that hold the sum, which stays below
-    len(partners) * rank.
+    being a complete canonical form.  Each position's key is one int with a
+    digit of width bits per mask size 0..rank, counting its partners of
+    that size, and the partner count in the digit above; no digit
+    overflows, since a position has at most len(partners) partners, so the
+    key encodes the multiset exactly with no sort.
     """
-    count = 1 << (len(partners) * rank).bit_length()
+    width = len(partners).bit_length()
+    count = 1 << (width * (rank + 1))
     keys = [0] * rank
     for p in partners:
-        step = count + p.bit_count()
+        step = count + (1 << (width * p.bit_count()))
         while p:
             low = p & -p
             p ^= low

@@ -31,6 +31,8 @@ Products run one bilinear loop, in the monomial basis over quasi-shuffles
 or directly in the N basis over its structure constants.  Those are counted
 block by block with binomial weights, so the product poset and its induced
 ordered partitions are never built; listing them is an oracle in the tests.
+Every pair reads one shared table of block suffixes, keyed symmetrically
+in the two factors.
 
 The expansion tables (refinements_of, nbasis_in_fundamental,
 structure_constants) return their terms in whatever order they are
@@ -553,6 +555,61 @@ def mul(q1, q2):
 
 
 @lru_cache(maxsize=None)
+def _draws(side):
+    """Each way the next block can take elements from one factor, as
+    (taken, ways, side after) triples.
+
+    A side is (sizes, open): the factor's antichain sizes still to place,
+    the current antichain first and reduced by what it has given, and
+    whether that antichain has the next block's part.  An open side gives x
+    of its s current elements in comb(s, x) ways; it closes, or for x = s
+    its next antichain opens, since parts alternate.  A closed side gives
+    nothing and opens; a used-up one is ((), True) and stays so.
+    """
+    sizes, is_open = side
+    if not (sizes and is_open):
+        return ((0, 1, (sizes, True)),)
+    s, rest = sizes[0], sizes[1:]
+    partial = tuple((x, comb(s, x), ((s - x,) + rest, False)) for x in range(s))
+    return partial + ((s, 1, (rest, True)),)
+
+
+# One copy of each block type, shared by every entry of _block_suffixes:
+# without it a dense 7 x 7 product holds about twice the memory.
+_TYPES = {}
+
+
+@lru_cache(maxsize=None)
+def _block_suffixes(first, second):
+    """The block types that place the rest of two factors, as (type, count)
+    pairs, for two sides as in _draws with first <= second.
+
+    A block takes x elements from one side and y from the other, x + y >= 1,
+    and the sides after it read their own entry.  The counts do not depend
+    on which side is which factor, so every caller orders the pair, and
+    N_a * N_b and N_b * N_a share their entries.  The table lives for the
+    session and grows with the distinct suffix pairs reached.
+    """
+    if not (first[0] or second[0]):
+        return (((), 1),)
+    out = {}
+    for x, ways_x, next_first in _draws(first):
+        for y, ways_y, next_second in _draws(second):
+            if not x + y:
+                continue
+            ways = ways_x * ways_y
+            if next_first <= next_second:
+                suffixes = _block_suffixes(next_first, next_second)
+            else:
+                suffixes = _block_suffixes(next_second, next_first)
+            head = (x + y,)
+            for typ, count in suffixes:
+                typ = head + typ
+                out[typ] = out.get(typ, 0) + ways * count
+    return tuple((_TYPES.setdefault(typ, typ), count) for typ, count in out.items())
+
+
+@lru_cache(maxsize=None)
 def _structure_constants(left, right):
     """Expansion of N_left * N_right as (composition, count) pairs.
 
@@ -568,40 +625,17 @@ def _structure_constants(left, right):
     left once it is used up, and consecutive blocks alternate parts, the
     first being high.  Elements of one antichain are interchangeable, so a
     block is chosen in comb(rem_left, x) * comb(rem_right, y) ways, and each
-    count is a sum of products of binomials, visibly nonnegative.  The DP
-    state is (left antichain, placed from it, right antichain, placed from
-    it, part of the next block), mapped to its suffix type -> count.
+    count is a sum of products of binomials, visibly nonnegative.  That sum
+    is the entry of the shared table _block_suffixes for both factors whole,
+    their first antichains open to the first block.
     """
     if not left:
         return ((right, 1),)
     if not right:
         return ((left, 1),)
-    memo = {}
-
-    def suffixes(i, a, j, b, part):
-        key = (i, a, j, b, part)
-        if key in memo:
-            return memo[key]
-        if i == len(left) and j == len(right):
-            return {(): 1}
-        xs = left[i] - a if i < len(left) and i % 2 == part else 0
-        ys = right[j] - b if j < len(right) and j % 2 == part else 0
-        out = {}
-        for x in range(xs + 1):
-            ni, na = (i + 1, 0) if x and x == xs else (i, a + x)
-            for y in range(ys + 1):
-                if not x + y:
-                    continue
-                nj, nb = (j + 1, 0) if y and y == ys else (j, b + y)
-                ways = comb(xs, x) * comb(ys, y)
-                for typ, count in suffixes(ni, na, nj, nb, 1 - part).items():
-                    typ = (x + y,) + typ
-                    out[typ] = out.get(typ, 0) + ways * count
-        memo[key] = out
-        return out
-
-    counts = suffixes(0, 0, 0, 0, 0)
-    return tuple(counts.items())
+    if right < left:
+        left, right = right, left
+    return _block_suffixes((left, True), (right, True))
 
 
 structure_constants = _composition_keyed(_structure_constants)

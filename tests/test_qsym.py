@@ -593,6 +593,30 @@ def test_structure_constants_are_symmetric():
             ), (alpha, beta)
 
 
+def _clear_structure_tables():
+    qsym._structure_constants.cache_clear()
+    qsym._block_suffixes.cache_clear()
+
+
+def test_structure_constants_do_not_depend_on_call_order():
+    # the block-suffix table is shared by every pair and filled on demand,
+    # so the entries an earlier pair left behind must not change a later one
+    pairs = [
+        (alpha, beta)
+        for total in range(8)
+        for wa in range(total + 1)
+        for alpha in comp.compositions(wa)
+        for beta in comp.compositions(total - wa)
+    ]
+    _clear_structure_tables()
+    forward = {pair: as_dict(qsym.structure_constants(*pair)) for pair in pairs}
+    random.Random(53).shuffle(pairs)
+    _clear_structure_tables()
+    shuffled = {pair: as_dict(qsym.structure_constants(*pair)) for pair in pairs}
+    assert len(pairs) == 576
+    assert shuffled == forward
+
+
 def test_mul_nbasis_matches_oracle_small():
     for total in range(2, 7):
         for wa in range(1, total):
@@ -873,6 +897,33 @@ def test_shared_caches_are_thread_safe():
     results = [None] * 8
     def work(i):
         results[i] = qsym.convert(q, "N")
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
+
+
+def test_shared_structure_tables_are_thread_safe():
+    # racing dense N products fill the shared block-suffix table together;
+    # each must agree with the serial product
+    import threading
+
+    fives = list(comp.compositions(5))
+    a = QSymElement("N", {c: i + 1 for i, c in enumerate(fives)})
+    b = QSymElement("N", {c: Fraction(i - 7, 3) for i, c in enumerate(fives)})
+    expected = qsym.nbasis_product(a, b)
+    _clear_structure_tables()
+    results = [None] * 8
+    def work(i):
+        results[i] = qsym.nbasis_product(a, b)
     threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
