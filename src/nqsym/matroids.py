@@ -80,25 +80,46 @@ def exchange_valid(base_masks):
     and it holds iff every basis meets every X(b1, e).
     With I = b1 - e, X(b1, e) is {x : I + x is a basis}, the extensions of
     I, so it depends on I alone.  One pass over the bases collects them,
-    ext[b - x] gaining x for each basis b and x in b, and each is checked
-    once.  The bases meeting an ext value are the union over its elements of
-    the bases holding each one, kept as a bitset over the family.
-    The family is read once, as given: a basis listed twice holds two bits,
-    and an ext value meets both or neither, so repeats leave the verdict
-    unchanged.
+    ext[b - x] gaining x for each basis b and x in b, and each distinct ext
+    value X is checked once.  A basis missing X lies in H, the union of the
+    bases minus X, and H holds I, since no x in X is in I.  So when
+    |H| <= r, H is I or I + y with y outside X, no basis either way, and X
+    passes.  The X with |H| > r are the wide ones.  Up to 4r of them are
+    each checked by a scan of the family; past that, a second pass keeps
+    the bases holding each element as a bitset over the family, r updates
+    per basis, each dearer than a few scan steps, and the bases meeting X
+    are the union of those of its elements.  A family of C(m, r) distinct
+    r-sets with an m-element union is every r-subset of that union, a
+    uniform matroid plus loops, so it passes before the pass over the
+    bases.
+    The family is read once, as a set: a basis listed twice is one basis.
     """
-    holders = {}
+    family = frozenset(base_masks)
+    if not family:
+        return True
+    union = reduce(or_, family)
+    rank = next(iter(family)).bit_count()
+    if len(family) == comb(union.bit_count(), rank):
+        return True
     ext = {}
-    j = -1
-    for j, b in enumerate(base_masks):
+    for b in family:
+        rest = b
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            ext[b ^ bit] = ext.get(b ^ bit, 0) | bit
+    wide = [x for x in set(ext.values()) if (union & ~x).bit_count() > rank]
+    if len(wide) <= 4 * rank:
+        return all(b & x for x in wide for b in family)
+    holders = {}
+    for j, b in enumerate(family):
         rest = b
         while rest:
             bit = rest & -rest
             rest ^= bit
             holders[bit] = holders.get(bit, 0) | 1 << j
-            ext[b ^ bit] = ext.get(b ^ bit, 0) | bit
-    everyone = (1 << j + 1) - 1
-    for x in ext.values():
+    everyone = (1 << len(family)) - 1
+    for x in wide:
         met = 0
         while x:
             bit = x & -x
@@ -119,7 +140,9 @@ def _deletion_keeps_exchange(n, trial, removed):
     other extension set is the same in F and in trial, and the smaller
     family still meets it.  So only those r sets are checked again, each
     once; one that is now empty lies in no basis of trial and imposes
-    nothing.
+    nothing.  A basis of trial missing x lies in [n] - x, which holds
+    removed; when x is everything outside removed, that set is removed
+    itself, no longer a basis, so the scan over trial is skipped.
     """
     outside = ((1 << n) - 1) & ~removed
     rest = removed
@@ -134,7 +157,7 @@ def _deletion_keeps_exchange(n, trial, removed):
             f ^= fbit
             if (base | fbit) in trial:
                 x |= fbit
-        if x and not all(b & x for b in trial):
+        if x and x != outside and not all(b & x for b in trial):
             return False
     return True
 
@@ -213,6 +236,7 @@ class Matroid:
             raise ValidationError("all bases must have the same cardinality")
         if not in_range:
             raise ValidationError("basis elements must lie in [n]")
+        masks = frozenset(masks)
         if not exchange_valid(masks):
             raise ValidationError("base family violates the exchange axiom")
         self._fill(n, masks)
@@ -511,8 +535,12 @@ def _clone_classes(ground, family):
     is tested against the least member of each class found so far that
     lies in as many bases.  The counts are read off one integer that packs
     every basis into a slot of whole bytes: an element's count is the
-    number of slots holding its bit.
+    number of slots holding its bit.  A family of C(|ground|, r) r-sets is
+    every r-subset of ground, so the whole of ground is one class with no
+    swap test.
     """
+    if len(family) == comb(ground.bit_count(), next(iter(family)).bit_count()):
+        return [ground] if ground else []
     width = ground.bit_length() // 8 + 1
     packed = int.from_bytes(
         b"".join(map(int.to_bytes, family, repeat(width), repeat("little"))), "little"

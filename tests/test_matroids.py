@@ -1,7 +1,9 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import or_
 
 import pytest
 
@@ -430,8 +432,10 @@ def test_exchange_valid_matches_pairwise_oracle_exhaustively():
 
 
 def test_exchange_valid_reads_any_iterable_once():
-    # a repeated basis meets an extension set exactly when its twin does, so
-    # a set, every basis listed twice and a one-shot generator agree
+    # the family is read once, as a set, so every basis listed twice and a
+    # one-shot generator agree with the set; the basis count must see each
+    # repeat as one basis, or a family listed twice could reach C(m, r)
+    # without being uniform
     verdicts = {True: 0, False: 0}
     for n in range(6):
         for masks in _equal_size_families(n):
@@ -462,6 +466,89 @@ def test_exchange_valid_matches_pairwise_oracle_on_random_families():
             assert mat.exchange_valid(masks) == verdict, (n, masks)
             verdicts[verdict] += 1
     assert min(verdicts.values()) >= 50, verdicts
+
+
+class _CountedMask(int):
+    """A basis mask that counts how often a low bit is split off it, which
+    exchange_valid does to every basis once per pass over the family."""
+
+    splits = 0
+
+    def __neg__(self):
+        _CountedMask.splits += 1
+        return -int(self)
+
+
+def _verdict_and_passes(masks):
+    """exchange_valid's verdict on masks, and how many passes over the
+    family it made: 0 when the basis count decides, 1 when the extension
+    sets are collected and the wide ones scanned for, 2 when the holder
+    bitsets are built as well."""
+    _CountedMask.splits = 0
+    verdict = mat.exchange_valid([_CountedMask(m) for m in masks])
+    return verdict, _CountedMask.splits // max(len(set(masks)), 1)
+
+
+def test_exchange_valid_branches_match_pairwise_oracle():
+    # for 0 <= r <= 6 and r <= n <= 12, each family pinned by the pairwise
+    # oracle up to 252 members (past that it takes seconds; the two-bases
+    # family fails at once, so it is pinned at every size)
+    assert _verdict_and_passes([]) == (True, 0)
+    assert _verdict_and_passes([0]) == (True, 0)
+    pinned = 0
+    for n in range(13):
+        for r in range(min(6, n) + 1):
+            full = (1 << n) - 1
+            small = comb(n, r) <= 252
+            # U(r, n - 2) on [n] with the loops 1 and n // 2 + 1: every
+            # r-subset of its union, so it passes by the count, though the
+            # n elements up to its largest would not count it
+            loops = 1 | 1 << n // 2
+            elements = [x for x in range(1, n + 1) if not loops >> (x - 1) & 1]
+            if 2 <= n and r <= len(elements):
+                masks = [mat._mask_of(c) for c in itertools.combinations(elements, r)]
+                assert reduce(or_, masks) != full, (r, n)
+                assert _verdict_and_passes(masks) == (True, 0), (r, n)
+                if small:
+                    assert _pairwise_exchange_valid(masks), (r, n)
+                    pinned += 1
+            masks = list(uniform(r, n)._masks)
+            if 2 <= r < n:
+                # U(r, n) minus one basis, sparse paving: no longer counted,
+                # and every extension set leaves |H| <= r, so it passes
+                minus_one = masks[1:]
+                assert _verdict_and_passes(minus_one) == (True, 1), (r, n)
+                if small:
+                    assert _pairwise_exchange_valid(minus_one), (r, n)
+                    pinned += 1
+            if 2 <= r and r + 2 <= n:
+                # minus two bases I + a and I + b: the extensions of I leave
+                # H = I + a + b, which holds I - i + a + b, so it fails
+                low = (1 << r - 1) - 1
+                minus_two = [m for m in masks if m not in (low | 1 << r - 1, low | 1 << n - 1)]
+                assert _verdict_and_passes(minus_two) == (False, 1), (r, n)
+                assert not _pairwise_exchange_valid(minus_two), (r, n)
+                pinned += 1
+    assert pinned >= 100, pinned
+
+
+def test_exchange_valid_holder_bitsets_match_pairwise_oracle():
+    # U(r, m) with every element i doubled by a parallel copy i + m: each
+    # independent I of size r - 1 spans its r - 1 parallel pairs, so
+    # |H| = 2r - 2 > r for every one of the C(m, r - 1) extension sets, more
+    # than 4r of them, and the holder bitsets decide
+    for r, m in ((3, 6), (3, 7), (4, 6)):
+        masks = [
+            mat._mask_of(x + m * copy for x, copy in zip(c, copies))
+            for c in itertools.combinations(range(1, m + 1), r)
+            for copies in itertools.product((0, 1), repeat=r)
+        ]
+        assert _verdict_and_passes(masks) == (True, 2), (r, m)
+        assert _pairwise_exchange_valid(masks), (r, m)
+        for dropped in (masks[:1], masks[:2], [masks[0], masks[-1]]):
+            trial = [b for b in masks if b not in dropped]
+            assert _verdict_and_passes(trial) == (False, 2), (r, m, dropped)
+            assert not _pairwise_exchange_valid(trial), (r, m, dropped)
 
 
 def _sampler_walk(rng, n):
@@ -725,6 +812,23 @@ def test_clone_classes_of_uniform_rank_two_and_k4():
     assert k4.num_bases == 16
     assert mat._clone_classes(0b111111, k4._mask_set) == [1 << i for i in range(6)]
     assert mat._clone_orbits(0b111111, k4._mask_set) == dict.fromkeys(k4._masks, 1)
+
+
+def test_clone_classes_of_uniform_beside_loops_and_coloops():
+    # the basis count names one class only when the family is every r-subset
+    # of ground; with loops or coloops beside U(r, m), on either side, the
+    # swap tests decide, and an empty ground has no class at all
+    assert mat._clone_classes(0, {0}) == []
+    for m in range(6):
+        for r in range(m + 1):
+            for loops, coloops in itertools.product(range(3), repeat=2):
+                beside = uniform(0, loops).direct_sum(uniform(coloops, coloops))
+                for matroid in (beside.direct_sum(uniform(r, m)), uniform(r, m).direct_sum(beside)):
+                    ground, family = (1 << matroid.n) - 1, matroid._mask_set
+                    classes = clone_classes_by_transpositions(ground, family)
+                    assert mat._clone_classes(ground, family) == classes, (r, m, loops, coloops)
+                    orbits = mat._clone_orbits(ground, family)
+                    assert len(orbits) == len(orbits_by_closure(family, classes)), (r, m)
 
 
 def test_clone_orbit_route_matches_all_bases_route():
