@@ -80,18 +80,16 @@ def exchange_valid(base_masks):
     and it holds iff every basis meets every X(b1, e).
     With I = b1 - e, X(b1, e) is {x : I + x is a basis}, the extensions of
     I, so it depends on I alone.  One pass over the bases collects them,
-    ext[b - x] gaining x for each basis b and x in b, and each distinct ext
-    value X is checked once.  A basis missing X lies in H, the union of the
-    bases minus X, and H holds I, since no x in X is in I.  So when
+    ext[b - x] gaining x for each basis b and x in b, and with them the
+    bases holding each element as a bitset over the family; each distinct
+    ext value X is checked once.  A basis missing X lies in H, the union of
+    the bases minus X, and H holds I, since no x in X is in I.  So when
     |H| <= r, H is I or I + y with y outside X, no basis either way, and X
-    passes.  The X with |H| > r are the wide ones.  Up to 4r of them are
-    each checked by a scan of the family; past that, a second pass keeps
-    the bases holding each element as a bitset over the family, r updates
-    per basis, each dearer than a few scan steps, and the bases meeting X
-    are the union of those of its elements.  A family of C(m, r) distinct
-    r-sets with an m-element union is every r-subset of that union, a
-    uniform matroid plus loops, so it passes before the pass over the
-    bases.
+    passes.  Only an X with |H| > r is looked at: the bases meeting it are
+    the union of the holder bitsets of its elements.  A family of C(m, r)
+    distinct r-sets with an m-element union is every r-subset of that
+    union, a uniform matroid plus loops, so it passes before the pass over
+    the bases.
     The family is read once, as a set: a basis listed twice is one basis.
     """
     family = frozenset(base_masks)
@@ -101,32 +99,24 @@ def exchange_valid(base_masks):
     rank = next(iter(family)).bit_count()
     if len(family) == comb(union.bit_count(), rank):
         return True
-    ext = {}
-    for b in family:
-        rest = b
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            ext[b ^ bit] = ext.get(b ^ bit, 0) | bit
-    wide = [x for x in set(ext.values()) if (union & ~x).bit_count() > rank]
-    if len(wide) <= 4 * rank:
-        return all(b & x for x in wide for b in family)
-    holders = {}
+    ext, holders = {}, {}
     for j, b in enumerate(family):
         rest = b
         while rest:
             bit = rest & -rest
             rest ^= bit
+            ext[b ^ bit] = ext.get(b ^ bit, 0) | bit
             holders[bit] = holders.get(bit, 0) | 1 << j
     everyone = (1 << len(family)) - 1
-    for x in wide:
-        met = 0
-        while x:
-            bit = x & -x
-            x ^= bit
-            met |= holders[bit]
-        if met != everyone:
-            return False
+    for x in set(ext.values()):
+        if (union & ~x).bit_count() > rank:
+            met = 0
+            while x:
+                bit = x & -x
+                x ^= bit
+                met |= holders[bit]
+            if met != everyone:
+                return False
     return True
 
 

@@ -470,7 +470,7 @@ def test_exchange_valid_matches_pairwise_oracle_on_random_families():
 
 class _CountedMask(int):
     """A basis mask that counts how often a low bit is split off it, which
-    exchange_valid does to every basis once per pass over the family."""
+    exchange_valid does to every basis once in its pass over the family."""
 
     splits = 0
 
@@ -481,9 +481,8 @@ class _CountedMask(int):
 
 def _verdict_and_passes(masks):
     """exchange_valid's verdict on masks, and how many passes over the
-    family it made: 0 when the basis count decides, 1 when the extension
-    sets are collected and the wide ones scanned for, 2 when the holder
-    bitsets are built as well."""
+    family it made: 0 when the basis count decides, else 1, which collects
+    the extension sets and the holder bitsets."""
     _CountedMask.splits = 0
     verdict = mat.exchange_valid([_CountedMask(m) for m in masks])
     return verdict, _CountedMask.splits // max(len(set(masks)), 1)
@@ -535,19 +534,19 @@ def test_exchange_valid_branches_match_pairwise_oracle():
 def test_exchange_valid_holder_bitsets_match_pairwise_oracle():
     # U(r, m) with every element i doubled by a parallel copy i + m: each
     # independent I of size r - 1 spans its r - 1 parallel pairs, so
-    # |H| = 2r - 2 > r for every one of the C(m, r - 1) extension sets, more
-    # than 4r of them, and the holder bitsets decide
+    # |H| = 2r - 2 > r for every one of the C(m, r - 1) extension sets, and
+    # the holder bitsets decide each of them
     for r, m in ((3, 6), (3, 7), (4, 6)):
         masks = [
             mat._mask_of(x + m * copy for x, copy in zip(c, copies))
             for c in itertools.combinations(range(1, m + 1), r)
             for copies in itertools.product((0, 1), repeat=r)
         ]
-        assert _verdict_and_passes(masks) == (True, 2), (r, m)
+        assert _verdict_and_passes(masks) == (True, 1), (r, m)
         assert _pairwise_exchange_valid(masks), (r, m)
         for dropped in (masks[:1], masks[:2], [masks[0], masks[-1]]):
             trial = [b for b in masks if b not in dropped]
-            assert _verdict_and_passes(trial) == (False, 2), (r, m, dropped)
+            assert _verdict_and_passes(trial) == (False, 1), (r, m, dropped)
             assert not _pairwise_exchange_valid(trial), (r, m, dropped)
 
 
