@@ -41,6 +41,8 @@ def test_criterion_03_structure_constants_weight8():
     # all products of total weight up to 8 against the quasi-shuffle oracle
     result, elapsed = timed(verify.check_structure_constants, max_weight=8)
     report(result, elapsed)
+    # every ordered pair is still graded and checked for positivity
+    assert result.details["pairs"] == 769
     assert elapsed < 120.0
 
 

@@ -67,3 +67,66 @@ def test_zbasis_check_catches_a_wrong_inverse_row(monkeypatch, extra, failures):
     result = verify.check_zbasis(max_n=3)
     assert not result.passed
     assert result.details["failures"] == failures
+
+
+@pytest.mark.parametrize(
+    "skewed_row, failures",
+    [
+        # the stored row of N_(1,2) is L_(1,2) + L_(1,1,1)
+        ({(1, 2): 1, (1, 1, 1): 1, (3,): 1}, ["n=3: product is not the identity"]),
+        (
+            {(1, 2): 1, (1, 1, 1): 1, (3,): Fraction(1, 2)},
+            ["n=3: N->L matrix not integer", "n=3: product is not the identity"],
+        ),
+        # twice the row: its product row is 2 at (1, 2) and 0 elsewhere
+        ({(1, 2): 2, (1, 1, 1): 2}, ["n=3: product is not the identity"]),
+        # one more L_(1,2): its product row keeps the 1 at (1, 2) and gains
+        # a 1 at (1, 1, 1)
+        ({(1, 2): 2, (1, 1, 1): 1}, ["n=3: product is not the identity"]),
+    ],
+)
+def test_zbasis_check_catches_a_wrong_stored_row(monkeypatch, skewed_row, failures):
+    stored = qsym.nbasis_in_fundamental
+    assert dict(stored((1, 2))) == {(1, 2): 1, (1, 1, 1): 1}
+
+    def skewed(comp):
+        return tuple(skewed_row.items()) if tuple(comp) == (1, 2) else stored(comp)
+
+    monkeypatch.setattr(qsym, "nbasis_in_fundamental", skewed)
+    result = verify.check_zbasis(max_n=3)
+    assert not result.passed
+    assert result.details["failures"] == failures
+
+
+def test_zbasis_check_catches_an_entry_just_below_the_diagonal(monkeypatch):
+    stored = qsym.nl_unitriangular_matrix
+
+    def skewed(n):
+        order, rows = stored(n)
+        if n == 3:
+            rows = rows[:3] + ((0, 0, 1, 1),)
+        return order, rows
+
+    monkeypatch.setattr(qsym, "nl_unitriangular_matrix", skewed)
+    result = verify.check_zbasis(max_n=3)
+    assert not result.passed
+    assert result.details["failures"] == ["n=3: entry below the diagonal in row (1, 1, 1)"]
+
+
+@pytest.mark.parametrize("wrong", [((1,), (2,)), ((2,), (1,))])
+def test_structure_constants_check_catches_a_wrong_product_in_either_order(monkeypatch, wrong):
+    # the swapped order may inherit the first order's verdict only when the
+    # two products are equal, so a term gained by one order alone is caught
+    mul_nbasis = qsym.mul_nbasis
+
+    def skewed(left, right):
+        out = mul_nbasis(left, right)
+        if (left, right) == wrong:
+            return out + QSymElement.single("N", (3,))
+        return out
+
+    monkeypatch.setattr(qsym, "mul_nbasis", skewed)
+    result = verify.check_structure_constants(max_weight=3)
+    assert not result.passed
+    assert result.details["pairs"] == 5
+    assert result.details["failures"] == [f"oracle mismatch at {wrong[0]} * {wrong[1]}"]
