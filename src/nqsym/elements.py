@@ -117,8 +117,8 @@ class QSymElement(_TermMap):
     def _from_numerators(cls, basis, numerators, denom):
         """Element with coefficients v / denom for the int numerators v of a
         dict keyed by valid compositions, as the integer routes of qsym
-        produce; zeros are dropped and one Fraction is made per nonzero
-        term, an int when it is integral."""
+        produce; zeros are dropped, a v that denom divides becomes the int
+        quotient, and one Fraction is made per other term."""
         self = object.__new__(cls)
         if denom == 1:
             clean = {comp: v for comp, v in numerators.items() if v}
@@ -126,8 +126,8 @@ class QSymElement(_TermMap):
             clean = {}
             for comp, v in numerators.items():
                 if v:
-                    q = Fraction(v, denom)
-                    clean[comp] = q.numerator if q.denominator == 1 else q
+                    q, r = divmod(v, denom)
+                    clean[comp] = Fraction(v, denom) if r else q
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "basis", basis)
         return self

@@ -28,11 +28,15 @@ for a cut.  None of them reads a per-degree table.
 Small degrees use stored rows, one per word, in place of the recursion.
 
 Products run one bilinear loop, in the monomial basis over quasi-shuffles
-or directly in the N basis over its structure constants.  Those are counted
-block by block with binomial weights, so the product poset and its induced
-ordered partitions are never built; listing them is an oracle in the tests.
-Every pair reads one shared table of block suffixes, keyed symmetrically
-in the two factors.
+or directly in the N basis over its structure constants.  Their tables
+key each composition by one int, its cut mask with bit weight - 1 also
+set (0 for the empty one), so prepending a part is a shift and a bit, and
+a product adds its terms into one dict of these ints and names each output
+term once.  The structure constants are counted block by block with
+binomial weights, so the product poset and its induced ordered partitions
+are never built; listing them is an oracle in the tests.  Every pair reads
+one shared table of block suffixes, keyed symmetrically in the two
+factors.
 
 The expansion tables (refinements_of, nbasis_in_fundamental,
 structure_constants) return their terms in whatever order they are
@@ -43,7 +47,7 @@ boundary, by QSymElement.sorted_terms, to_json and format_element.
 
 from collections import namedtuple
 from functools import lru_cache, wraps
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from math import comb, factorial, lcm
 from operator import add, sub
 
@@ -54,7 +58,6 @@ from .compositions import (
     json_int,
     rank,
     rho_to_runs,
-    runs_to_rho,
     triangular_order_key,
     weight,
 )
@@ -72,19 +75,29 @@ def fundamental_element(comp, coeff=1):
     return QSymElement.single("L", comp, coeff)
 
 
-def _composition_keyed(table):
+def _composition_keyed(table, int_keyed=False):
     """The public face of an lru_cached table keyed by compositions.
 
     Each argument goes through as_composition before the cache lookup, so a
     list is accepted like the rest of the API and a bad part raises
-    ValidationError, never a bare TypeError from hashing.  cache_info and
-    cache_clear are the table's own.  Callers in this module that already
-    hold composition tuples call the table directly.
+    ValidationError, never a bare TypeError from hashing.  An int_keyed
+    table (the products) takes and returns the int keys of _key, so its
+    face converts the arguments to keys and names each returned term.
+    cache_info and cache_clear are the table's own.  Callers in this module
+    that already hold composition tuples or keys call the table directly.
     """
 
-    @wraps(table)
-    def lookup(*comps):
-        return table(*map(as_composition, comps))
+    if int_keyed:
+
+        @wraps(table)
+        def lookup(left, right):
+            return tuple(_product_terms(table, left, right).items())
+
+    else:
+
+        @wraps(table)
+        def lookup(*comps):
+            return table(*map(as_composition, comps))
 
     lookup.cache_info = table.cache_info
     lookup.cache_clear = table.cache_clear
@@ -141,6 +154,64 @@ def _mask_compositions(n):
         return ((1,),)
     shorter = _mask_compositions(n - 1)
     return tuple(c[:-1] + (c[-1] + 1,) for c in shorter) + tuple(c + (1,) for c in shorter)
+
+
+def _key(comp):
+    """The int key of a composition: its cut mask with bit weight - 1 also
+    set, and 0 for ().  Prepending a part a to the composition of key c
+    gives the key c << a | 1 << (a - 1), so the keys of weight n are
+    exactly 2^(n-1) plus the cut masks, and every int >= 0 is one key."""
+    key = 0
+    for part in reversed(comp):
+        key = key << part | 1 << (part - 1)
+    return key
+
+
+def _first_part(key):
+    """The first part of the composition of a nonzero key: the position of
+    its lowest set bit, plus one."""
+    return (key & -key).bit_length()
+
+
+# Keys of weight up to this one are named by a stored table of every
+# composition of that weight or less (2^n entries); heavier ones are decoded
+# bit by bit, so a sparse product of high degree builds no such table.
+_NAME_DEGREE = 12
+
+
+@lru_cache(maxsize=None)
+def _names(n):
+    """Every composition of weight at most n, indexed by its int key: the
+    keys of weight n run from 2^(n-1) in cut-mask order, so this is () and
+    then each weight's _mask_compositions."""
+    return ((),) + tuple(chain.from_iterable(map(_mask_compositions, range(1, n + 1))))
+
+
+def _composition(key):
+    """The composition of an int key, the inverse of _key: each part is the
+    distance to the next set bit, read from the lowest."""
+    parts = []
+    while key:
+        part = _first_part(key)
+        parts.append(part)
+        key >>= part
+    return tuple(parts)
+
+
+def _by_composition(terms, n):
+    """The (key, value) pairs terms, keys of weight at most n, as a dict
+    keyed by composition, zero values dropped."""
+    if n > _NAME_DEGREE:
+        return {_composition(key): v for key, v in terms if v}
+    names = _names(n)
+    return {names[key]: v for key, v in terms if v}
+
+
+def _product_terms(table, left, right):
+    """The entry of an int-keyed product table for two compositions, as a
+    dict keyed by composition."""
+    left, right = as_composition(left), as_composition(right)
+    return _by_composition(table(_key(left), _key(right)), weight(left) + weight(right))
 
 
 def _vectors(numerators):
@@ -500,10 +571,15 @@ def nl_unitriangular_matrix(n):
         raise ValidationError("N to L matrices are defined for degree >= 1")
     table = nl_ascent_run_rows(n)
     order = tuple(alpha for alpha, _, _ in table)
+    # the column of run composition c is that of the ascent-run composition
+    # runs_to_rho(c), the row whose pivot c is
+    column = {pivot: j for j, (_, pivot, _) in enumerate(table)}
     rows = []
-    for _, _, row in table:
-        by_rho = {runs_to_rho(c): v for c, v in row}
-        rows.append(tuple(by_rho.get(delta, 0) for delta in order))
+    for _, _, terms in table:
+        row = [0] * len(order)
+        for c, v in terms:
+            row[column[c]] = v
+        rows.append(tuple(row))
     return order, tuple(rows)
 
 
@@ -513,40 +589,54 @@ def nl_unitriangular_matrix(n):
 
 @lru_cache(maxsize=None)
 def _quasi_shuffle(left, right):
-    """Quasi-shuffle of two exponent compositions, as (composition, count) pairs."""
+    """Quasi-shuffle of two compositions, given and returned as int keys
+    (_key), as (key, count) pairs.
+
+    With a and b the first parts and u and v the rests,
+    (a u) * (b v) = a (u * b v) + b (a u * v) + (a + b) (u * v), and
+    prepending a part to a key is one shift and one bit.
+    """
     if not left:
         return ((right, 1),)
     if not right:
         return ((left, 1),)
-    a, b = left[0], right[0]
+    a, b = _first_part(left), _first_part(right)
+    u, v = left >> a, right >> b
     counts = {}
-    for comp, k in _quasi_shuffle(left[1:], right):
-        key = (a,) + comp
-        counts[key] = counts.get(key, 0) + k
-    for comp, k in _quasi_shuffle(left, right[1:]):
-        key = (b,) + comp
-        counts[key] = counts.get(key, 0) + k
-    for comp, k in _quasi_shuffle(left[1:], right[1:]):
-        key = (a + b,) + comp
-        counts[key] = counts.get(key, 0) + k
+    for head, terms in (
+        (a, _quasi_shuffle(u, right)),
+        (b, _quasi_shuffle(left, v)),
+        (a + b, _quasi_shuffle(u, v)),
+    ):
+        bit = 1 << (head - 1)
+        for key, k in terms:
+            key = key << head | bit
+            counts[key] = counts.get(key, 0) + k
     return tuple(counts.items())
 
 
-quasi_shuffle = _composition_keyed(_quasi_shuffle)
+quasi_shuffle = _composition_keyed(_quasi_shuffle, int_keyed=True)
 
 
 def _product(q1, q2, basis, table):
     """Bilinear extension of a table of basis products, on the factors' int
-    numerators in basis over the product of their denominators."""
+    numerators in basis over the product of their denominators.
+
+    The table takes and returns the int keys of _key, so every pair's terms
+    are added into one dict of ints, whatever the degrees and however
+    sparse the factors, and each output term is named once at the end."""
     d1, n1 = _numerators_in(q1, basis)
     d2, n2 = _numerators_in(q2, basis)
+    right = [(_key(b), cb) for b, cb in n2.items()]
     out = {}
     for a, ca in n1.items():
-        for b, cb in n2.items():
+        a = _key(a)
+        for b, cb in right:
             scale = ca * cb
-            for comp, k in table(a, b):
-                out[comp] = out.get(comp, 0) + scale * k
-    return QSymElement._from_numerators(basis, out, d1 * d2)
+            for key, k in table(a, b):
+                out[key] = out.get(key, 0) + scale * k
+    named = _by_composition(out.items(), max(out, default=0).bit_length())
+    return QSymElement._from_numerators(basis, named, d1 * d2)
 
 
 def mul(q1, q2):
@@ -559,30 +649,30 @@ def _draws(side):
     """Each way the next block can take elements from one factor, as
     (taken, ways, side after) triples.
 
-    A side is (sizes, open): the factor's antichain sizes still to place,
-    the current antichain first and reduced by what it has given, and
-    whether that antichain has the next block's part.  An open side gives x
-    of its s current elements in comb(s, x) ways; it closes, or for x = s
-    its next antichain opens, since parts alternate.  A closed side gives
-    nothing and opens; a used-up one is ((), True) and stays so.
+    A side is (sizes, open): the int key (_key) of the factor's antichain
+    sizes still to place, the current antichain first and reduced by what
+    it has given, and whether that antichain has the next block's part.  An
+    open side gives x of its s current elements in comb(s, x) ways; it
+    closes, or for x = s its next antichain opens, since parts alternate.
+    A closed side gives nothing and opens; a used-up one is (0, True) and
+    stays so.
     """
     sizes, is_open = side
     if not (sizes and is_open):
         return ((0, 1, (sizes, True)),)
-    s, rest = sizes[0], sizes[1:]
-    partial = tuple((x, comb(s, x), ((s - x,) + rest, False)) for x in range(s))
+    s = _first_part(sizes)
+    rest = sizes >> s
+    partial = tuple(
+        (x, comb(s, x), (rest << (s - x) | 1 << (s - x - 1), False)) for x in range(s)
+    )
     return partial + ((s, 1, (rest, True)),)
-
-
-# One copy of each block type, shared by every entry of _block_suffixes:
-# without it a dense 7 x 7 product holds about twice the memory.
-_TYPES = {}
 
 
 @lru_cache(maxsize=None)
 def _block_suffixes(first, second):
-    """The block types that place the rest of two factors, as (type, count)
-    pairs, for two sides as in _draws with first <= second.
+    """The block types that place the rest of two factors, as (key, count)
+    pairs with each type given by its int key, for two sides as in _draws
+    with first <= second.
 
     A block takes x elements from one side and y from the other, x + y >= 1,
     and the sides after it read their own entry.  The counts do not depend
@@ -591,7 +681,7 @@ def _block_suffixes(first, second):
     session and grows with the distinct suffix pairs reached.
     """
     if not (first[0] or second[0]):
-        return (((), 1),)
+        return ((0, 1),)
     out = {}
     for x, ways_x, next_first in _draws(first):
         for y, ways_y, next_second in _draws(second):
@@ -602,16 +692,18 @@ def _block_suffixes(first, second):
                 suffixes = _block_suffixes(next_first, next_second)
             else:
                 suffixes = _block_suffixes(next_second, next_first)
-            head = (x + y,)
+            head = x + y
+            bit = 1 << (head - 1)
             for typ, count in suffixes:
-                typ = head + typ
+                typ = typ << head | bit
                 out[typ] = out.get(typ, 0) + ways * count
-    return tuple((_TYPES.setdefault(typ, typ), count) for typ, count in out.items())
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
 def _structure_constants(left, right):
-    """Expansion of N_left * N_right as (composition, count) pairs.
+    """Expansion of N_left * N_right as (key, count) pairs, the factors and
+    the terms given by their int keys (_key).
 
     N_left * N_right counts the induced ordered partitions of the relabeled
     disjoint sum of the two antichain-chain posets by their type; the label
@@ -638,12 +730,12 @@ def _structure_constants(left, right):
     return _block_suffixes((left, True), (right, True))
 
 
-structure_constants = _composition_keyed(_structure_constants)
+structure_constants = _composition_keyed(_structure_constants, int_keyed=True)
 
 
 def mul_nbasis(left, right):
     """Product of two N basis vectors, expanded in the N basis."""
-    return QSymElement._trusted("N", dict(structure_constants(left, right)))
+    return QSymElement._from_numerators("N", _product_terms(_structure_constants, left, right), 1)
 
 
 def nbasis_product(q1, q2):
@@ -726,21 +818,22 @@ def divide_by_pure_power(element, s):
     if n < s:
         raise NotDivisibleError(f"degree {n} is smaller than the divisor degree {s}")
     denom, residual = _scaled(q)
-    residual = dict(residual)
+    residual = {_key(c): v for c, v in residual.items()}
+    divisor = _key((s,))
     quotient = {}
     while residual:
-        lead = max(residual, key=lambda c: c[0])
-        if lead == (s,):
-            beta = ()
-        elif lead[0] > s:
-            beta = (lead[0] - s,) + lead[1:]
-        else:
+        # on int keys the largest first part is the largest lowest set bit;
+        # beta is lead with s taken off its first part, a shift by s, and
+        # is () for lead (s,) but no composition for another first part s
+        lead = max(residual, key=lambda k: k & -k)
+        if lead != divisor and _first_part(lead) <= s:
             raise NotDivisibleError("element is not divisible by the pure power")
+        beta = lead >> s
         coeff = quotient[beta] = residual[lead]
-        for comp, k in _structure_constants((s,), beta):
-            value = residual.get(comp, 0) - coeff * k
+        for key, k in _structure_constants(divisor, beta):
+            value = residual.get(key, 0) - coeff * k
             if value:
-                residual[comp] = value
+                residual[key] = value
             else:
-                del residual[comp]
-    return QSymElement._from_numerators("N", quotient, denom)
+                del residual[key]
+    return QSymElement._from_numerators("N", _by_composition(quotient.items(), n - s), denom)

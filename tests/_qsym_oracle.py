@@ -6,7 +6,7 @@ division for L to N.  These oracles do the same work the older way: they
 expand term by term through per-composition tables (refinements for M and
 L, blockwise dict folds for N), adding Fractions, and solve L to N by a
 peel over the triangular pivot table.  Refinements are also enumerated as
-supersets of cut sets.
+supersets of cut sets, and quasi-shuffles as overlapping shuffles.
 """
 
 from fractions import Fraction
@@ -143,3 +143,27 @@ def nbasis_by_peel(element):
     denom = lcm(*(Fraction(v).denominator for v in element.terms.values()))
     residual = {c: int(v * denom) for c, v in element.terms.items()}
     return QSymElement("N", peel_degree(residual, n, denom))
+
+
+def quasi_shuffle_by_overlaps(left, right):
+    """The quasi-shuffle of two compositions as a dict, by listing its
+    overlapping shuffles: the parts of left go, in order, to p of r slots,
+    and those of right to q of them, every slot taking a part from at least
+    one side, so max(p, q) <= r <= p + q; each slot's part is the sum of
+    what it takes."""
+    p, q = len(left), len(right)
+    counts = {}
+    for r in range(max(p, q), p + q + 1):
+        for left_slots in combinations(range(r), p):
+            missed = [i for i in range(r) if i not in left_slots]
+            if len(missed) > q:
+                continue
+            for shared in combinations(left_slots, q - len(missed)):
+                word = [0] * r
+                for i, a in zip(left_slots, left):
+                    word[i] += a
+                for i, b in zip(sorted(missed + list(shared)), right):
+                    word[i] += b
+                key = tuple(word)
+                counts[key] = counts.get(key, 0) + 1
+    return counts

@@ -12,6 +12,7 @@ from _qsym_oracle import (
     expand_termwise,
     nbasis_in_fundamental_by_fold,
     nbasis_in_monomial_by_fold,
+    quasi_shuffle_by_overlaps,
     refinements_by_subsets,
 )
 from nqsym import compositions as comp
@@ -163,6 +164,21 @@ def test_cut_masks_index_the_compositions():
         for mask, c in enumerate(names):
             assert qsym._cut_mask(c) == mask
             assert {i + 1 for i in range(n - 1) if mask >> i & 1} == comp.composition_to_subset(c)
+
+
+def test_int_keys_name_every_composition_once():
+    # the key is the cut mask plus bit n - 1 for weight n, and 0 for ();
+    # prepending a part a is c << a | 1 << (a - 1) from () on
+    keys = set()
+    for n in range(11):
+        for c in comp.compositions(n):
+            key = qsym._key(c)
+            assert key == (qsym._cut_mask(c) | 1 << (n - 1) if c else 0)
+            assert qsym._composition(key) == c and qsym._names(n)[key] == c
+            keys.add(key)
+            for a in range(1, 5):
+                assert qsym._composition(key << a | 1 << (a - 1)) == (a,) + c
+    assert keys == set(range(2**10))
 
 
 def test_descent_classes_match_brute_force():
@@ -446,15 +462,21 @@ def test_integer_solve_matches_gauss_jordan(monkeypatch):
             patch.setattr(elements, "Fraction", fraction)
             return func(*args)
 
+    mixed = 0
     for q, expected in zip(samples, oracle):
         in_n = spied(qsym.convert, q, "N")
         assert in_n == expected
         assert_normalized(in_n)
-        # one division per nonzero output term, by the common denominator D
-        # of the element's coefficients, and none when D is 1
+        # one Fraction per non-integral output term, over the common
+        # denominator D of the element's coefficients, and none for an
+        # integral term, which D divides exactly
         denom = lcm(*(v.denominator for v in q.terms.values()))
-        assert divisions == ([denom] * len(in_n.terms) if denom > 1 else [])
+        fractional = sum(not isinstance(v, int) for v in in_n.terms.values())
+        assert divisions == [denom] * fractional
+        mixed += denom > 1 and fractional < len(in_n.terms)
         assert qsym.convert(in_n, q.basis) == q
+    # the samples where D > 1 divides some output numerator exactly
+    assert mixed >= 100
     # an integral tensor converts with no Fraction at all
     ones = QSymElement("N", {c: 1 for c in comp.compositions(8)})
     delta = qsym.coproduct_monomial(ones)
@@ -824,6 +846,39 @@ def test_quasi_shuffle_counts():
     qs = dict(qsym.quasi_shuffle((1,), (1, 1)))
     assert qs == {(1, 1, 1): 3, (2, 1): 1, (1, 2): 1}
     assert dict(qsym.quasi_shuffle((), (3, 1))) == {(3, 1): 1}
+
+
+def test_quasi_shuffle_matches_overlapping_shuffles():
+    # every pair of total weight <= 7, most of them of two different
+    # weights, so keys that collided across degrees would show
+    pairs = 0
+    for total in range(8):
+        for wa in range(total + 1):
+            for alpha in comp.compositions(wa):
+                for beta in comp.compositions(total - wa):
+                    expected = quasi_shuffle_by_overlaps(alpha, beta)
+                    assert as_dict(qsym.quasi_shuffle(alpha, beta)) == expected, (alpha, beta)
+                    pairs += 1
+    assert pairs == 576
+
+
+def test_product_tables_face_the_api_with_compositions():
+    # the tables hold int keys; their public faces and mul_nbasis name them
+    for face in (qsym.quasi_shuffle, qsym.structure_constants):
+        terms = face((1, 2), [2])
+        assert terms
+        for c, count in terms:
+            assert type(c) is tuple and all(type(part) is int for part in c)
+            assert sum(c) == 5 and type(count) is int
+        assert face.cache_info().currsize >= 1
+    assert qsym.mul_nbasis((1,), (1,)).terms == {(2,): 1}
+    assert qsym.mul_nbasis((), ()).terms == {(): 1}
+    # above weight 12 the terms are named by decoding their keys, with no
+    # table of every composition
+    terms = qsym.structure_constants((7,), (3, 3))
+    table = qsym._structure_constants(qsym._key((7,)), qsym._key((3, 3)))
+    assert all(sum(c) == 13 for c, _ in terms)
+    assert {qsym._key(c): count for c, count in terms} == dict(table)
 
 
 COMPOSITION_TABLES = [

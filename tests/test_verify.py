@@ -55,11 +55,15 @@ def test_run_all_rejects_max_n_below_two():
     ],
 )
 def test_zbasis_check_catches_a_wrong_inverse_row(monkeypatch, extra, failures):
+    # the check converts the L expansion of each N_alpha back to N, so skew
+    # the L to N route on the expansion of N_(1,2)
     convert = qsym.convert
+    row = qsym.n_basis_element((1, 2)).terms
+    assert row == {(1, 2): 1, (1, 1, 1): 1}
 
     def skewed(element, target):
         out = convert(element, target)
-        if element.basis == "L" and target == "N" and element.terms == {(1, 2): 1}:
+        if element.basis == "L" and target == "N" and element.terms == row:
             return out + QSymElement.single("N", (3,), extra)
         return out
 
@@ -72,16 +76,19 @@ def test_zbasis_check_catches_a_wrong_inverse_row(monkeypatch, extra, failures):
 @pytest.mark.parametrize(
     "skewed_row, failures",
     [
-        # the stored row of N_(1,2) is L_(1,2) + L_(1,1,1)
+        # the stored row of N_(1,2) is L_(1,2) + L_(1,1,1); L_(3) is N_(3),
+        # so this row comes back from L to N as N_(1,2) + N_(3)
         ({(1, 2): 1, (1, 1, 1): 1, (3,): 1}, ["n=3: product is not the identity"]),
+        # a row that is not integral comes back not integral, which is the
+        # row's fault, not the L to N route's
         (
             {(1, 2): 1, (1, 1, 1): 1, (3,): Fraction(1, 2)},
             ["n=3: N->L matrix not integer", "n=3: product is not the identity"],
         ),
-        # twice the row: its product row is 2 at (1, 2) and 0 elsewhere
+        # twice the row comes back as 2 N_(1,2)
         ({(1, 2): 2, (1, 1, 1): 2}, ["n=3: product is not the identity"]),
-        # one more L_(1,2): its product row keeps the 1 at (1, 2) and gains
-        # a 1 at (1, 1, 1)
+        # one more L_(1,2), the row of N_(1,1,1), comes back as
+        # N_(1,2) + N_(1,1,1)
         ({(1, 2): 2, (1, 1, 1): 1}, ["n=3: product is not the identity"]),
     ],
 )
