@@ -32,7 +32,8 @@ or directly in the N basis over its structure constants.  Their tables
 key each composition by one int, its cut mask with bit weight - 1 also
 set (0 for the empty one), so prepending a part is a shift and a bit, and
 a product adds its terms into one dict of these ints and names each output
-term once.  The structure constants are counted block by block with
+term once, through one session memo that decodes each key on its first
+use.  The structure constants are counted block by block with
 binomial weights, so the product poset and its induced ordered partitions
 are never built; listing them is an oracle in the tests.  Every pair reads
 one shared table of block suffixes, keyed symmetrically in the two
@@ -47,7 +48,7 @@ boundary, by QSymElement.sorted_terms, to_json and format_element.
 
 from collections import namedtuple
 from functools import lru_cache, wraps
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from math import comb, factorial, lcm
 from operator import add, sub
 
@@ -75,29 +76,19 @@ def fundamental_element(comp, coeff=1):
     return QSymElement.single("L", comp, coeff)
 
 
-def _composition_keyed(table, int_keyed=False):
+def _composition_keyed(table):
     """The public face of an lru_cached table keyed by compositions.
 
     Each argument goes through as_composition before the cache lookup, so a
     list is accepted like the rest of the API and a bad part raises
-    ValidationError, never a bare TypeError from hashing.  An int_keyed
-    table (the products) takes and returns the int keys of _key, so its
-    face converts the arguments to keys and names each returned term.
-    cache_info and cache_clear are the table's own.  Callers in this module
-    that already hold composition tuples or keys call the table directly.
+    ValidationError, never a bare TypeError from hashing.  cache_info and
+    cache_clear are the table's own.  Callers in this module that already
+    hold composition tuples call the table directly.
     """
 
-    if int_keyed:
-
-        @wraps(table)
-        def lookup(left, right):
-            return tuple(_product_terms(table, left, right).items())
-
-    else:
-
-        @wraps(table)
-        def lookup(*comps):
-            return table(*map(as_composition, comps))
+    @wraps(table)
+    def lookup(*comps):
+        return table(*map(as_composition, comps))
 
     lookup.cache_info = table.cache_info
     lookup.cache_clear = table.cache_clear
@@ -173,20 +164,6 @@ def _first_part(key):
     return (key & -key).bit_length()
 
 
-# Keys of weight up to this one are named by a stored table of every
-# composition of that weight or less (2^n entries); heavier ones are decoded
-# bit by bit, so a sparse product of high degree builds no such table.
-_NAME_DEGREE = 12
-
-
-@lru_cache(maxsize=None)
-def _names(n):
-    """Every composition of weight at most n, indexed by its int key: the
-    keys of weight n run from 2^(n-1) in cut-mask order, so this is () and
-    then each weight's _mask_compositions."""
-    return ((),) + tuple(chain.from_iterable(map(_mask_compositions, range(1, n + 1))))
-
-
 def _composition(key):
     """The composition of an int key, the inverse of _key: each part is the
     distance to the next set bit, read from the lowest."""
@@ -198,20 +175,43 @@ def _composition(key):
     return tuple(parts)
 
 
-def _by_composition(terms, n):
-    """The (key, value) pairs terms, keys of weight at most n, as a dict
-    keyed by composition, zero values dropped."""
-    if n > _NAME_DEGREE:
-        return {_composition(key): v for key, v in terms if v}
-    names = _names(n)
-    return {names[key]: v for key, v in terms if v}
+class _Names(dict):
+    """Compositions by int key, each key decoded once, on its first use.
+    The memo lives for the session, like the product tables whose keys it
+    names, and hands back the same tuple for every later lookup."""
+
+    def __missing__(self, key):
+        comp = self[key] = _composition(key)
+        return comp
+
+
+_NAMES = _Names()
+
+
+def _by_composition(terms):
+    """The (key, value) pairs terms as a dict keyed by composition, zero
+    values dropped."""
+    return {_NAMES[key]: v for key, v in terms if v}
+
+
+def _product_table(table):
+    """The public face of an int-keyed product table: it takes two
+    compositions and returns the table's entry as (composition, count)
+    pairs, with the table's own cache_info and cache_clear."""
+
+    @wraps(table)
+    def lookup(left, right):
+        return tuple(_product_terms(table, left, right).items())
+
+    lookup.cache_info = table.cache_info
+    lookup.cache_clear = table.cache_clear
+    return lookup
 
 
 def _product_terms(table, left, right):
     """The entry of an int-keyed product table for two compositions, as a
     dict keyed by composition."""
-    left, right = as_composition(left), as_composition(right)
-    return _by_composition(table(_key(left), _key(right)), weight(left) + weight(right))
+    return _by_composition(table(_key(as_composition(left)), _key(as_composition(right))))
 
 
 def _vectors(numerators):
@@ -615,7 +615,7 @@ def _quasi_shuffle(left, right):
     return tuple(counts.items())
 
 
-quasi_shuffle = _composition_keyed(_quasi_shuffle, int_keyed=True)
+quasi_shuffle = _product_table(_quasi_shuffle)
 
 
 def _product(q1, q2, basis, table):
@@ -635,8 +635,7 @@ def _product(q1, q2, basis, table):
             scale = ca * cb
             for key, k in table(a, b):
                 out[key] = out.get(key, 0) + scale * k
-    named = _by_composition(out.items(), max(out, default=0).bit_length())
-    return QSymElement._from_numerators(basis, named, d1 * d2)
+    return QSymElement._from_numerators(basis, _by_composition(out.items()), d1 * d2)
 
 
 def mul(q1, q2):
@@ -730,7 +729,7 @@ def _structure_constants(left, right):
     return _block_suffixes((left, True), (right, True))
 
 
-structure_constants = _composition_keyed(_structure_constants, int_keyed=True)
+structure_constants = _product_table(_structure_constants)
 
 
 def mul_nbasis(left, right):
@@ -836,4 +835,4 @@ def divide_by_pure_power(element, s):
                 residual[key] = value
             else:
                 del residual[key]
-    return QSymElement._from_numerators("N", _by_composition(quotient.items(), n - s), denom)
+    return QSymElement._from_numerators("N", _by_composition(quotient.items()), denom)

@@ -174,7 +174,7 @@ def test_int_keys_name_every_composition_once():
         for c in comp.compositions(n):
             key = qsym._key(c)
             assert key == (qsym._cut_mask(c) | 1 << (n - 1) if c else 0)
-            assert qsym._composition(key) == c and qsym._names(n)[key] == c
+            assert qsym._composition(key) == c and qsym._NAMES[key] == c
             keys.add(key)
             for a in range(1, 5):
                 assert qsym._composition(key << a | 1 << (a - 1)) == (a,) + c
@@ -873,12 +873,14 @@ def test_product_tables_face_the_api_with_compositions():
         assert face.cache_info().currsize >= 1
     assert qsym.mul_nbasis((1,), (1,)).terms == {(2,): 1}
     assert qsym.mul_nbasis((), ()).terms == {(): 1}
-    # above weight 12 the terms are named by decoding their keys, with no
-    # table of every composition
+    # every term is named through the one memo of decoded keys, at any
+    # weight, and a second lookup hands back the stored tuples
     terms = qsym.structure_constants((7,), (3, 3))
     table = qsym._structure_constants(qsym._key((7,)), qsym._key((3, 3)))
     assert all(sum(c) == 13 for c, _ in terms)
     assert {qsym._key(c): count for c, count in terms} == dict(table)
+    again = qsym.structure_constants([7], [3, 3])
+    assert all(c is d for (c, _), (d, _) in zip(terms, again))
 
 
 COMPOSITION_TABLES = [
